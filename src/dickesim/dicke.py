@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -43,6 +44,7 @@ __all__ = [
     "op_jminus",
     "op_jx",
     "op_jy",
+    "spin_matrices",
     "ground_state",
     "excited_state",
     "ghz_state",
@@ -171,6 +173,10 @@ class CollectiveOperator:
     blocks: tuple[np.ndarray, ...]
     hermitian: bool
 
+    @property
+    def js(self) -> tuple[float, ...]:
+        return self.ledger.js
+
     def block(self, j: float) -> np.ndarray:
         return self.blocks[self.ledger.block_index(j)]
 
@@ -209,13 +215,6 @@ class CollectiveOperator:
     def dagger(self) -> "CollectiveOperator":
         mats = tuple(_freeze(b.conj().T) for b in self.blocks)
         return CollectiveOperator(self.ledger, mats, self.hermitian)
-
-    def expectation(self, state: "CollectiveState") -> complex:
-        """tr(rho O), summed over the state's active blocks."""
-        total = 0.0 + 0.0j
-        for j, rho in state.items():
-            total += np.trace(rho @ self.block(j))
-        return complex(total)
 
 
 class CollectiveState:
@@ -283,43 +282,59 @@ def _ladder_elements(j: float) -> np.ndarray:
     return np.sqrt((j - m) * (j + m + 1))
 
 
+@lru_cache(maxsize=64)
+def spin_matrices(twoj: int) -> Mapping[str, np.ndarray]:
+    """Dense spin-j matrices of one block, keyed "x", "y", "z", "plus", "minus".
+
+    They depend on 2j only, not on N, so they are cached per 2j and returned
+    read-only; J_- is the transpose view of J_+.  An entry holds 64 (2j+1)^2
+    bytes; 64 entries cover every block up to N = 126.
+    """
+    j = twoj / 2.0
+    plus = np.zeros((twoj + 1, twoj + 1), dtype=complex)
+    plus[np.arange(twoj), np.arange(1, twoj + 1)] = _ladder_elements(j)
+    mats = {
+        "x": 0.5 * (plus + plus.T),
+        "y": -0.5j * (plus - plus.T),
+        "z": np.diag(j - np.arange(twoj + 1)).astype(complex),
+        "plus": plus,
+        "minus": plus.T,
+    }
+    for mat in mats.values():
+        mat.flags.writeable = False
+    return MappingProxyType(mats)
+
+
+def _collective(ledger: BlockLedger, axis: str, hermitian: bool) -> CollectiveOperator:
+    mats = tuple(_freeze(spin_matrices(b.dim - 1)[axis]) for b in ledger.blocks)
+    return CollectiveOperator(ledger, mats, hermitian)
+
+
 @lru_cache(maxsize=32)
 def op_jz(ledger: BlockLedger) -> CollectiveOperator:
     """J_z: diagonal m per block (storage order is m descending)."""
-    mats = tuple(
-        _freeze(np.diag(ledger.m_values(b.j).astype(complex))) for b in ledger.blocks
-    )
-    return CollectiveOperator(ledger, mats, hermitian=True)
+    return _collective(ledger, "z", hermitian=True)
 
 
 @lru_cache(maxsize=32)
 def op_jplus(ledger: BlockLedger) -> CollectiveOperator:
     """J_+: raises m by one, coefficient sqrt((j-m)(j+m+1))."""
-    mats = []
-    for b in ledger.blocks:
-        mat = np.zeros((b.dim, b.dim), dtype=complex)
-        if b.dim > 1:
-            elems = _ladder_elements(b.j)
-            mat[np.arange(b.dim - 1), np.arange(1, b.dim)] = elems
-        mats.append(_freeze(mat))
-    return CollectiveOperator(ledger, tuple(mats), hermitian=False)
+    return _collective(ledger, "plus", hermitian=False)
 
 
 @lru_cache(maxsize=32)
 def op_jminus(ledger: BlockLedger) -> CollectiveOperator:
-    return op_jplus(ledger).dagger()
+    return _collective(ledger, "minus", hermitian=False)
 
 
 @lru_cache(maxsize=32)
 def op_jx(ledger: BlockLedger) -> CollectiveOperator:
-    op = (op_jplus(ledger) + op_jminus(ledger)) * 0.5
-    return CollectiveOperator(ledger, op.blocks, hermitian=True)
+    return _collective(ledger, "x", hermitian=True)
 
 
 @lru_cache(maxsize=32)
 def op_jy(ledger: BlockLedger) -> CollectiveOperator:
-    op = (op_jplus(ledger) - op_jminus(ledger)) * (-0.5j)
-    return CollectiveOperator(ledger, op.blocks, hermitian=True)
+    return _collective(ledger, "y", hermitian=True)
 
 
 def _pure_top_block_state(n_particles: int, amplitudes: np.ndarray) -> CollectiveState:

@@ -15,17 +15,21 @@ collective operators:
     TNT(t, L, ab)    G = J_a^2 - (N/L) J_b
     GMS(t, phi)      G = (J_x cos phi + J_y sin phi)^2
 
-Hermitian generators are exponentiated by per-block eigendecomposition;
-non-Hermitian ones (any gate touching J_+/J_-) go through scipy's Pade
-scaling-and-squaring, and the conjugated state is renormalized to unit trace
-and flagged ``conditional`` (the map is not trace preserving).
+Generators are built only on the blocks a state occupies, from the cached
+per-block spin matrices.  Hermitian generators are exponentiated by per-block
+eigendecomposition; generators diagonal in m (RZ, RZ2, and OAT/TAT/TNT whose
+axes are all z) need no decomposition, and their gates act on rho_j as the
+elementwise phase p p^dag.  Non-Hermitian generators (any gate touching
+J_+/J_-) go through scipy's Pade scaling-and-squaring, and the conjugated
+state is renormalized to unit trace and flagged ``conditional`` (the map is
+not trace preserving).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 from scipy.linalg import expm
@@ -35,15 +39,12 @@ from .dicke import (
     CollectiveOperator,
     CollectiveState,
     build_ledger,
-    op_jminus,
-    op_jplus,
-    op_jx,
-    op_jy,
-    op_jz,
+    spin_matrices,
 )
 from .errors import CircuitParseError, DomainError, NumericError
 
 __all__ = [
+    "BlockGenerator",
     "GateSpec",
     "Circuit",
     "GATE_KINDS",
@@ -203,18 +204,43 @@ def _recipe(spec: GateSpec, n_particles: int) -> tuple[Callable, float, bool]:
     raise DomainError(f"unknown gate kind {kind!r}")
 
 
-def generator(spec: GateSpec, ledger: BlockLedger) -> tuple[CollectiveOperator, float]:
-    """Generator G and angle t with gate K = exp(-i t G)."""
+def _is_diagonal(spec: GateSpec) -> bool:
+    """True when the generator is diagonal in m: J_z, J_z^2, or twists whose
+    axes are all z (axes exist only for OAT, TAT and TNT)."""
+    return spec.kind in ("RZ", "RZ2") or (
+        spec.axes is not None and all(a == "z" for a in spec.axes)
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class BlockGenerator:
+    """Generator matrices G_j for the blocks they were built on."""
+
+    blocks: Mapping[float, np.ndarray]
+    hermitian: bool
+    diagonal: bool
+
+    @property
+    def js(self) -> tuple[float, ...]:
+        return tuple(self.blocks)
+
+    def block(self, j: float) -> np.ndarray:
+        return self.blocks[j]
+
+
+def generator(
+    spec: GateSpec, ledger: BlockLedger, js: tuple[float, ...] | None = None
+) -> tuple[BlockGenerator, float]:
+    """Generator G and angle t with gate K = exp(-i t G), built on blocks
+    ``js`` only (every ledger block if None)."""
     build, angle, herm = _recipe(spec, ledger.n_particles)
-    ops = {
-        "x": op_jx(ledger),
-        "y": op_jy(ledger),
-        "z": op_jz(ledger),
-        "plus": op_jplus(ledger),
-        "minus": op_jminus(ledger),
+    if js is None:
+        js = ledger.js
+    blocks = {
+        j: build(spin_matrices(ledger.blocks[ledger.block_index(j)].dim - 1))
+        for j in js
     }
-    raw = build(ops)
-    return CollectiveOperator(ledger, raw.blocks, hermitian=herm), angle
+    return BlockGenerator(blocks, herm, _is_diagonal(spec)), angle
 
 
 def _exp_block(g: np.ndarray, angle: float, hermitian: bool, j: float) -> np.ndarray:
@@ -228,11 +254,16 @@ def _exp_block(g: np.ndarray, angle: float, hermitian: bool, j: float) -> np.nda
 
 
 def exponentiate(
-    operator: CollectiveOperator, angle: float, js: tuple[float, ...] | None = None
+    operator: BlockGenerator | CollectiveOperator,
+    angle: float,
+    js: tuple[float, ...] | None = None,
 ) -> dict[float, np.ndarray]:
-    """Per-block exp(-i * angle * G_j); restricted to blocks ``js`` if given."""
+    """Per-block exp(-i * angle * G_j) on blocks ``js`` (all of the operator's
+    blocks if None).  A diagonal generator gives diagonal matrices, no eigh."""
     if js is None:
-        js = operator.ledger.js
+        js = operator.js
+    if isinstance(operator, BlockGenerator) and operator.diagonal:
+        return {j: np.diag(np.exp(-1j * angle * operator.block(j).diagonal())) for j in js}
     return {
         j: _exp_block(operator.block(j), angle, operator.hermitian, j) for j in js
     }
@@ -241,13 +272,19 @@ def exponentiate(
 def apply_gate(state: CollectiveState, spec: GateSpec) -> CollectiveState:
     """rho -> K rho K^dag per active block, then the optional noise channel.
 
-    Unitary gates leave the active block set unchanged; a noise step may
-    activate neighboring blocks.  Non-Hermitian generators give a non-unitary
-    K, so the result is renormalized to unit trace and flagged conditional.
+    Only the active blocks are built and exponentiated; a diagonal K = diag(p)
+    acts as the elementwise product rho * (p p^dag).  Unitary gates leave the
+    active block set unchanged; a noise step may activate neighboring blocks.
+    Non-Hermitian generators give a non-unitary K, so the result is
+    renormalized to unit trace and flagged conditional.
     """
-    gen, angle = generator(spec, state.ledger)
-    kmats = exponentiate(gen, angle, js=state.active_js)
-    blocks = {j: kmats[j] @ rho @ kmats[j].conj().T for j, rho in state.items()}
+    gen, angle = generator(spec, state.ledger, state.active_js)
+    kmats = exponentiate(gen, angle)
+    if gen.diagonal:
+        phases = {j: k.diagonal() for j, k in kmats.items()}
+        blocks = {j: rho * np.outer(phases[j], phases[j].conj()) for j, rho in state.items()}
+    else:
+        blocks = {j: kmats[j] @ rho @ kmats[j].conj().T for j, rho in state.items()}
     conditional = state.conditional
     if not gen.hermitian:
         total = sum(np.trace(b).real for b in blocks.values())

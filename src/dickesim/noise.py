@@ -27,7 +27,6 @@ One application touches O(N^3) matrix elements in total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -35,7 +34,7 @@ import numpy as np
 from .dicke import CollectiveState
 from .errors import DomainError, NumericError
 
-__all__ = ["TransitionTable", "rho_prime", "depolarize"]
+__all__ = ["rho_prime", "depolarize"]
 
 
 @lru_cache(maxsize=256)
@@ -78,28 +77,17 @@ def _transition_terms(
     return tuple(terms)
 
 
-@dataclass(frozen=True)
-class TransitionTable:
-    """Closed-form block-transition weights of the channel for N particles."""
-
-    n_particles: int
-
-    def terms(self, j: float) -> tuple[tuple[float, int, float, np.ndarray], ...]:
-        n = self.n_particles
-        return _transition_terms(n, int(round(2 * j)), n % 2, n)
-
-
 def rho_prime(state: CollectiveState) -> dict[float, np.ndarray]:
     """Unnormalized channel numerator rho', block by block.
 
     For any unit-trace state tr(rho') = 3N/4 (per-particle Casimir), which the
     oracle tests confirm; the value is recomputed rather than assumed.
     """
-    table = TransitionTable(state.ledger.n_particles)
+    n = state.ledger.n_particles
     out: dict[float, np.ndarray] = {}
     for j, rho in state.items():
         d_src = rho.shape[0]
-        for dest_j, shift, weight, g in table.terms(j):
+        for dest_j, shift, weight, g in _transition_terms(n, d_src - 1, n % 2, n):
             d_dst = int(round(2 * dest_j)) + 1
             lo = max(0, -shift)
             hi = min(d_src, d_dst - shift)

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import CollectiveState, op_jx, op_jy, op_jz
+from .dicke import CollectiveState
 from .errors import DegenerateFrameError
+from .measurement import moments
 
 __all__ = ["MeanSpinFrame", "mean_spin_frame", "get_xi_2_S", "get_xi_2_R"]
 
@@ -38,17 +39,6 @@ class MeanSpinFrame:
     n3: np.ndarray
 
 
-def _j_expectations(state: CollectiveState) -> np.ndarray:
-    ledger = state.ledger
-    return np.array(
-        [
-            op_jx(ledger).expectation(state).real,
-            op_jy(ledger).expectation(state).real,
-            op_jz(ledger).expectation(state).real,
-        ]
-    )
-
-
 def mean_spin_frame(state: CollectiveState) -> MeanSpinFrame:
     """Spherical angles of <J> and the orthonormal triad (n1, n2, n3).
 
@@ -56,7 +46,10 @@ def mean_spin_frame(state: CollectiveState) -> MeanSpinFrame:
     of <Jy> selecting the branch; at the poles (sin theta = 0) phi is set to 0
     by convention, which no observable downstream can distinguish.
     """
-    jvec = _j_expectations(state)
+    return _frame(moments(state)[0].real)
+
+
+def _frame(jvec: np.ndarray) -> MeanSpinFrame:
     norm = float(np.linalg.norm(jvec))
     if norm <= _FRAME_TOL:
         raise DegenerateFrameError(
@@ -76,25 +69,21 @@ def mean_spin_frame(state: CollectiveState) -> MeanSpinFrame:
     return MeanSpinFrame(theta=theta, phi=phi, j_norm=norm, n1=n1, n2=n2, n3=n3)
 
 
-def _direction_operator(state: CollectiveState, n: np.ndarray):
-    ledger = state.ledger
-    return n[0] * op_jx(ledger) + n[1] * op_jy(ledger) + n[2] * op_jz(ledger)
-
-
 def get_xi_2_S(state: CollectiveState, anti: bool = False) -> float:
     """Kitagawa-Ueda squeezing parameter (minimal transverse variance).
 
     ``anti=True`` returns the + branch (the anti-squeezed direction).
     """
-    frame = mean_spin_frame(state)
-    jn2 = _direction_operator(state, frame.n2)
-    jn3 = _direction_operator(state, frame.n3)
-    e2 = jn2.expectation(state).real
-    e3 = jn3.expectation(state).real
-    s22 = jn2.square().expectation(state).real
-    s33 = jn3.square().expectation(state).real
-    cross = 0.5 * (jn2 @ jn3 + jn3 @ jn2).expectation(state).real
-    cov = cross - e2 * e3
+    first, second = moments(state)
+    frame = _frame(first.real)
+    # <{J_u, J_v}>/2 = u . S . v with S the symmetrized second moment
+    sym = 0.5 * (second + second.T).real
+    n2, n3 = frame.n2, frame.n3
+    e2 = n2 @ first.real
+    e3 = n3 @ first.real
+    s22 = n2 @ sym @ n2
+    s33 = n3 @ sym @ n3
+    cov = n2 @ sym @ n3 - e2 * e3
     root = np.sqrt((s22 - s33) ** 2 + 4.0 * cov**2)
     branch = root if anti else -root
     return float((2.0 / state.n_particles) * (s22 + s33 + branch))

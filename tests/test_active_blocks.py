@@ -1,0 +1,224 @@
+"""The active-block kernel against the all-block operator algebra.
+
+``apply_gate`` builds generators only on the blocks a state occupies, applies
+diagonal gates as phases, and reads moments from block diagonals.  The
+reference here is the all-block path: generators composed from the ``op_j*``
+operators with ``CollectiveOperator`` arithmetic over the whole ledger, every
+active block conjugated by their exponentials, and expectation values taken
+as dense traces sum_j tr(rho_j O_j).
+"""
+
+import numpy as np
+import pytest
+
+from dickesim import (
+    CollectiveOperator,
+    CollectiveState,
+    DegenerateFrameError,
+    OBSERVABLES,
+    apply_circuit,
+    build_ledger,
+    css_state,
+    depolarize,
+    expval,
+    exponentiate,
+    get_xi_2_R,
+    get_xi_2_S,
+    ground_state,
+    mean_spin_frame,
+    op_jminus,
+    op_jplus,
+    op_jx,
+    op_jy,
+    op_jz,
+)
+from dickesim import dicke
+from dickesim.errors import NumericError
+from dickesim.gates import Circuit, GateSpec, _recipe
+
+from conftest import CATALOG, random_gate
+
+TOL = 1e-12
+
+
+def all_block_ops(ledger):
+    return {
+        "x": op_jx(ledger),
+        "y": op_jy(ledger),
+        "z": op_jz(ledger),
+        "plus": op_jplus(ledger),
+        "minus": op_jminus(ledger),
+    }
+
+
+def reference_apply_gate(state, spec):
+    """K rho K^dag with K from the all-block generator, then renormalization
+    and noise exactly as the catalog defines them."""
+    build, angle, herm = _recipe(spec, state.n_particles)
+    raw = build(all_block_ops(state.ledger))
+    gen = CollectiveOperator(state.ledger, raw.blocks, hermitian=herm)
+    kmats = exponentiate(gen, angle)
+    blocks = {j: kmats[j] @ rho @ kmats[j].conj().T for j, rho in state.items()}
+    conditional = state.conditional
+    if not herm:
+        total = sum(np.trace(b).real for b in blocks.values())
+        if not np.isfinite(total) or total <= 0.0:
+            raise NumericError("unnormalizable")
+        blocks = {j: b / total for j, b in blocks.items()}
+        conditional = True
+    out = CollectiveState(state.ledger, blocks, conditional)
+    if spec.noise:
+        out = depolarize(out, spec.noise)
+    return out
+
+
+def random_mixed_state(rng, n):
+    """Random PSD blocks on a random proper subset of the ledger (when there
+    is more than one block), so inactive blocks exist and must stay empty."""
+    ledger = build_ledger(n)
+    count = len(ledger.js)
+    k = 1 if count == 1 else int(rng.integers(1, count))
+    picked = rng.choice(count, size=k, replace=False)
+    blocks = {}
+    for i in picked:
+        b = ledger.blocks[i]
+        a = rng.normal(size=(b.dim, b.dim)) + 1j * rng.normal(size=(b.dim, b.dim))
+        blocks[b.j] = a @ a.conj().T
+    total = sum(np.trace(m).real for m in blocks.values())
+    return CollectiveState(ledger, {j: m / total for j, m in blocks.items()})
+
+
+def dense_expectation(op, state):
+    return complex(sum(np.trace(rho @ op.block(j)) for j, rho in state.items()))
+
+
+def dense_observables(ledger):
+    ops = all_block_ops(ledger)
+    names = {"Jx": "x", "Jy": "y", "Jz": "z", "J_plus": "plus", "J_minus": "minus"}
+    table = {}
+    for name, axis in names.items():
+        table[name] = ops[axis]
+        table[name + "2"] = ops[axis].square()
+    return table
+
+
+def dense_xi2(state, frame):
+    """The squeezing parameters from dense direction operators n . J in the
+    given mean-spin frame.  The frame is taken from the engine because its
+    angles are ill-conditioned when |<J>| is small; <J> itself is checked
+    through the observables."""
+    ops = all_block_ops(state.ledger)
+    n2, n3 = frame.n2, frame.n3
+    jn2 = n2[0] * ops["x"] + n2[1] * ops["y"] + n2[2] * ops["z"]
+    jn3 = n3[0] * ops["x"] + n3[1] * ops["y"] + n3[2] * ops["z"]
+    e2, e3 = dense_expectation(jn2, state).real, dense_expectation(jn3, state).real
+    s22 = dense_expectation(jn2.square(), state).real
+    s33 = dense_expectation(jn3.square(), state).real
+    cross = 0.5 * dense_expectation(jn2 @ jn3 + jn3 @ jn2, state).real
+    cov = cross - e2 * e3
+    root = np.sqrt((s22 - s33) ** 2 + 4.0 * cov**2)
+    xi_s = 2.0 / state.n_particles * (s22 + s33 - root)
+    return xi_s, (state.n_particles / (2.0 * frame.j_norm)) ** 2 * xi_s
+
+
+def assert_states_close(a, b):
+    assert a.active_js == b.active_js
+    assert a.conditional == b.conditional
+    for j, rho in a.items():
+        np.testing.assert_allclose(rho, b.block(j), rtol=0, atol=TOL)
+
+
+def assert_moments_close(state):
+    dense = dense_observables(state.ledger)
+    assert set(dense) == set(OBSERVABLES)
+    for name, op in dense.items():
+        want = dense_expectation(op, state)
+        got = expval(state, name)
+        if isinstance(got, float):
+            want = want.real
+        assert abs(got - want) <= TOL * max(1.0, abs(want))
+    try:
+        got_s, got_r = get_xi_2_S(state), get_xi_2_R(state)
+    except DegenerateFrameError:
+        return
+    want_s, want_r = dense_xi2(state, mean_spin_frame(state))
+    assert got_s == pytest.approx(want_s, rel=TOL, abs=TOL)
+    assert got_r == pytest.approx(want_r, rel=TOL, abs=TOL)
+
+
+def hermiticity_drift(state):
+    return max(np.abs(rho - rho.conj().T).max() for _, rho in state.items())
+
+
+@pytest.mark.parametrize("noise", [None, 0.05, 0.3])
+def test_random_circuits_match_all_block_path(noise):
+    rng = np.random.default_rng({None: 31, 0.05: 32, 0.3: 33}[noise])
+    seen, checked, ill = set(), 0, 0
+    for n in (1, 2, 3, 6, 11, 24, 41, 64):
+        for _ in range(3):
+            state = random_mixed_state(rng, n)
+            ref = state
+            specs = [random_gate(rng, noise=noise) for _ in range(6)]
+            for spec in specs:
+                try:
+                    ref = reference_apply_gate(ref, spec)
+                except NumericError:
+                    break
+                seen.add(spec.kind)
+            else:
+                got = apply_circuit(Circuit(n, tuple(specs)), state)
+                drift = hermiticity_drift(ref)
+                if drift > TOL:
+                    # A conditional gate at a large angle: K spans many decades,
+                    # K rho K^dag cancels catastrophically, and the reference
+                    # itself is only good to its Hermiticity drift.
+                    ill += 1
+                    diff = max(np.abs(rho - ref.block(j)).max() for j, rho in got.items())
+                    assert got.active_js == ref.active_js and diff <= 100.0 * drift
+                    continue
+                checked += 1
+                assert_states_close(got, ref)
+                assert_moments_close(got)
+    assert seen == set(CATALOG)
+    assert ill <= checked // 4
+
+
+def test_diagonal_gates_are_phases():
+    # random_gate never draws TAT(zz) or TNT(zz): repeated axes are listed here
+    rng = np.random.default_rng(7)
+    state = random_mixed_state(rng, 9)
+    for spec in (
+        GateSpec("RZ", (0.7,)),
+        GateSpec("RZ2", (-1.3,)),
+        GateSpec("OAT", (0.4,), axes="z"),
+        GateSpec("TAT", (0.4,), axes="zz"),
+        GateSpec("TNT", (0.9, 2.5), axes="zz"),
+    ):
+        got = apply_circuit(Circuit(9, (spec,)), state)
+        assert_states_close(got, reference_apply_gate(state, spec))
+        for j, rho in got.items():
+            np.testing.assert_allclose(rho.diagonal(), state.block(j).diagonal(), atol=TOL)
+
+
+def test_large_n_squeezing_builds_no_all_block_operator(monkeypatch):
+    # At N = 1000 the ledger has 501 blocks; the five all-block operators
+    # alone would hold about 12 GiB.  Any CollectiveOperator built here fails.
+    def refuse(*args, **kwargs):
+        raise AssertionError("an all-block operator was built")
+
+    monkeypatch.setattr(dicke.CollectiveOperator, "__init__", refuse)
+    n = 1000
+    circuit = Circuit(n, (GateSpec("RN", (np.pi / 2, 0.0)), GateSpec("OAT", (0.01,), axes="z")))
+    state = apply_circuit(circuit, ground_state(n))
+    assert state.active_js == (n / 2,)
+    xi = get_xi_2_S(state)
+    assert 0.0 < xi < 1.0  # one-axis twisting squeezes
+
+
+@pytest.mark.parametrize("theta, phi", [(np.pi / 2, 0.0), (1.0, 2.0), (0.3, 5.0), (np.pi, 0.0)])
+def test_large_n_coherent_state_moments(theta, phi):
+    n = 1000
+    state = css_state(n, theta, phi)
+    jvec = np.array([expval(state, a) for a in ("Jx", "Jy", "Jz")])
+    assert np.linalg.norm(jvec) == pytest.approx(n / 2, abs=1e-9)
+    assert get_xi_2_S(state) == pytest.approx(1.0, abs=1e-9)

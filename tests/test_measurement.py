@@ -1,11 +1,19 @@
 """Probability tables, sampling, expectation values, Husimi grids, CSV."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dickesim import (
+    CollectiveState,
     DomainError,
+    NumericError,
     apply_circuit,
+    build_ledger,
     css_state,
     expval,
     ghz_state,
@@ -113,6 +121,30 @@ class TestExpval:
         with pytest.raises(DomainError):
             expval(ground_state(2), "Jq")
 
+    def test_imaginary_residue_raises(self):
+        # a non-Hermitian block: <Jz> = 0.5 + 0.1i on the j = 1 block
+        state = CollectiveState(build_ledger(2), {1.0: np.diag([0.5 + 0.1j, 0.5, 0.0])})
+        with pytest.raises(NumericError, match="imaginary residue"):
+            expval(state, "Jz")
+
+    def test_imaginary_residue_raises_under_optimize_flag(self):
+        # python -O strips assert statements; the check must survive it
+        code = (
+            "import numpy as np\n"
+            "from dickesim import CollectiveState, NumericError, build_ledger, expval\n"
+            "state = CollectiveState(build_ledger(2), {1.0: np.diag([0.5 + 0.1j, 0.5, 0.0])})\n"
+            "try:\n"
+            "    expval(state, 'Jz')\n"
+            "except NumericError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(3)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
+        assert done.returncode == 0
+
 
 class TestHusimi:
     def test_css_peaks_at_its_bloch_direction(self):
@@ -165,6 +197,13 @@ class TestHusimi:
             husimi_grid(state, thetas, phis, workers=1),
             husimi_grid(state, thetas, phis, workers=4),
         )
+
+    def test_trace_above_one_raises(self):
+        # an unnormalized state (trace 2) peaks at Q = 2; it is not clipped
+        state = ground_state(4)
+        doubled = CollectiveState(state.ledger, {2.0: 2.0 * state.block(2.0)})
+        with pytest.raises(NumericError, match="above one"):
+            husimi_grid(doubled, np.linspace(0, np.pi, 9), np.array([0.0]))
 
     def test_empty_axes_rejected(self):
         with pytest.raises(DomainError):
