@@ -6,18 +6,19 @@ the transverse-field phase transition), husimi (Q-function grid), bench (wall
 time scaling).  Everything emits CSV with a header row and LF endings; floats
 carry 17 significant digits so files round-trip exactly.
 
-Exit codes: 0 success, 2 usage error, 3 input parse error, 4 numeric error.
+Exit codes: 0 success, 2 usage or resource error (out of memory included),
+3 input parse error, 4 numeric error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
+from .bench import layer_seconds
 from .dicke import ground_state
 from .errors import (
     CircuitParseError,
@@ -229,23 +230,11 @@ def cmd_bench(args) -> int:
     if not 1 <= args.n_min < args.n_max:
         raise DomainError("need 1 <= --n-min < --n-max")
     noise = args.noise if args.noise > 0 else None
-    layer = [
-        GateSpec("RX", (np.pi / 3.0,), noise=noise),
-        GateSpec("RY", (np.pi / 3.0,), noise=noise),
-        GateSpec("RZ", (np.pi / 3.0,), noise=noise),
-    ]
     ns = sorted(set(np.geomspace(args.n_min, args.n_max, args.points).astype(int)))
-    rows = []
-    for n in ns:
-        best = float("inf")
-        for _ in range(max(1, args.repeats)):
-            state = ground_state(int(n))
-            start = time.perf_counter()
-            for _ in range(args.layers):
-                for spec in layer:
-                    state = apply_gate(state, spec)
-            best = min(best, time.perf_counter() - start)
-        rows.append((int(n), float(best)))
+    rows = [
+        (int(n), float(layer_seconds(int(n), noise, args.layers, args.repeats)))
+        for n in ns
+    ]
     _emit(_rows_csv("n,seconds", rows), args.out)
     cutoff = (min(ns) + max(ns)) / 2.0
     top = [(n, t) for n, t in rows if n >= cutoff]
@@ -352,6 +341,10 @@ def main(argv=None) -> int:
         return 3
     except (DomainError, ResourceError, UnsupportedConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

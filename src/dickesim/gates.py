@@ -23,11 +23,21 @@ elementwise phase p p^dag.  Non-Hermitian generators (any gate touching
 J_+/J_-) go through scipy's Pade scaling-and-squaring, and the conjugated
 state is renormalized to unit trace and flagged ``conditional`` (the map is
 not trace preserving).
+
+A block generator depends on 2j and on every gate parameter except the angle
+(and, for TNT, on N/Lambda), so ``apply_gate`` keeps the eigenpairs (w, V) of
+Hermitian, non-diagonal block generators in one byte-bounded LRU cache shared
+by every call.  A key is stored on its second request only, so gates whose
+azimuth is drawn afresh each time never fill it.  A hit skips the generator
+build and the eigh, and gives K_j = (V e^{-i t w}) V^dag bit for bit as a
+miss does.
 """
 
 from __future__ import annotations
 
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -243,13 +253,20 @@ def generator(
     return BlockGenerator(blocks, herm, _is_diagonal(spec)), angle
 
 
+def _eigh(g: np.ndarray, j: float) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return np.linalg.eigh(g)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed in block j = {j}") from exc
+
+
+def _unitary(w: np.ndarray, v: np.ndarray, angle: float) -> np.ndarray:
+    return (v * np.exp(-1j * angle * w)) @ v.conj().T
+
+
 def _exp_block(g: np.ndarray, angle: float, hermitian: bool, j: float) -> np.ndarray:
     if hermitian:
-        try:
-            w, v = np.linalg.eigh(g)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigendecomposition failed in block j = {j}") from exc
-        return (v * np.exp(-1j * angle * w)) @ v.conj().T
+        return _unitary(*_eigh(g, j), angle)
     return expm(-1j * angle * g)
 
 
@@ -269,24 +286,122 @@ def exponentiate(
     }
 
 
+# Byte budget of the eigenpair cache.  It must hold the working set of a
+# repeated noiseless layer: RX and RY at 2j + 1 = 201 take about 1.3 MB; at
+# 1 MiB that layer thrashed the cache at N = 200.
+EIGENPAIR_CACHE_BYTES = 4 * 2**20
+# Keys requested once and not stored yet; oldest forgotten first.
+_SEEN_ONCE_KEYS = 4096
+
+
+class _EigenpairCache:
+    """LRU map from a block-generator key to its read-only eigenpairs (w, V),
+    bounded by bytes.  A key is stored on its second request only: the first
+    one just enters the bounded seen-once set.  Thread safe; eigh runs outside
+    the lock, so two threads may decompose one key and store it once."""
+
+    def __init__(self, max_bytes: int, max_seen: int):
+        self.max_bytes = max_bytes
+        self.max_seen = max_seen
+        self.nbytes = 0
+        self._entries: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+        self._seen: OrderedDict[tuple, None] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def lookup(self, key: tuple) -> tuple[tuple[np.ndarray, np.ndarray] | None, bool]:
+        """(cached eigenpairs or None, whether a miss should be stored)."""
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None:
+                self._entries.move_to_end(key)
+                return hit, False
+            if key in self._seen:
+                del self._seen[key]
+                return None, True
+            self._seen[key] = None
+            if len(self._seen) > self.max_seen:
+                self._seen.popitem(last=False)
+            return None, False
+
+    def store(self, key: tuple, w: np.ndarray, v: np.ndarray) -> None:
+        size = w.nbytes + v.nbytes
+        if size > self.max_bytes:
+            return
+        w.flags.writeable = False
+        v.flags.writeable = False
+        with self._lock:
+            if key in self._entries:
+                return
+            self._entries[key] = (w, v)
+            self.nbytes += size
+            while self.nbytes > self.max_bytes:
+                _, (w_old, v_old) = self._entries.popitem(last=False)
+                self.nbytes -= w_old.nbytes + v_old.nbytes
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._seen.clear()
+            self.nbytes = 0
+
+
+_EIGENPAIRS = _EigenpairCache(EIGENPAIR_CACHE_BYTES, _SEEN_ONCE_KEYS)
+
+
+def _gate_key(spec: GateSpec, n_particles: int) -> tuple:
+    """Everything a block generator depends on besides 2j: the kind, the axes,
+    every parameter but the angle (bit patterns, so -0.0 != 0.0) and, for TNT,
+    the N/Lambda its recipe uses."""
+    params = spec.params[1:]
+    if spec.kind == "TNT":
+        params += (n_particles / spec.params[1],)
+    return spec.kind, spec.axes, tuple(p.hex() for p in params)
+
+
+def _cached_eigh(
+    build: Callable, twoj: int, gate_key: tuple, j: float
+) -> tuple[np.ndarray, np.ndarray]:
+    key = (twoj,) + gate_key
+    hit, admit = _EIGENPAIRS.lookup(key)
+    if hit is not None:
+        return hit
+    w, v = _eigh(build(spin_matrices(twoj)), j)
+    if admit:
+        _EIGENPAIRS.store(key, w, v)
+    return w, v
+
+
 def apply_gate(state: CollectiveState, spec: GateSpec) -> CollectiveState:
     """rho -> K rho K^dag per active block, then the optional noise channel.
 
-    Only the active blocks are built and exponentiated; a diagonal K = diag(p)
-    acts as the elementwise product rho * (p p^dag).  Unitary gates leave the
-    active block set unchanged; a noise step may activate neighboring blocks.
-    Non-Hermitian generators give a non-unitary K, so the result is
-    renormalized to unit trace and flagged conditional.
+    Each active block is handled on its own: its K_j is formed, applied and
+    dropped.  A diagonal K = diag(p) acts as the elementwise product
+    rho * (p p^dag); a Hermitian generator takes its eigenpairs from the
+    cache when they are there.  Unitary gates leave the active block set
+    unchanged; a noise step may activate neighboring blocks.  Non-Hermitian
+    generators give a non-unitary K, so the result is renormalized to unit
+    trace and flagged conditional.
     """
-    gen, angle = generator(spec, state.ledger, state.active_js)
-    kmats = exponentiate(gen, angle)
-    if gen.diagonal:
-        phases = {j: k.diagonal() for j, k in kmats.items()}
-        blocks = {j: rho * np.outer(phases[j], phases[j].conj()) for j, rho in state.items()}
-    else:
-        blocks = {j: kmats[j] @ rho @ kmats[j].conj().T for j, rho in state.items()}
+    build, angle, hermitian = _recipe(spec, state.n_particles)
+    diagonal = _is_diagonal(spec)
+    gate_key = _gate_key(spec, state.n_particles)
+    blocks = {}
+    for j, rho in state.items():
+        twoj = rho.shape[0] - 1
+        if diagonal:
+            p = np.exp(-1j * angle * build(spin_matrices(twoj)).diagonal())
+            blocks[j] = rho * np.outer(p, p.conj())
+            continue
+        if hermitian:
+            k = _unitary(*_cached_eigh(build, twoj, gate_key, j), angle)
+        else:
+            k = expm(-1j * angle * build(spin_matrices(twoj)))
+        blocks[j] = k @ rho @ k.conj().T
     conditional = state.conditional
-    if not gen.hermitian:
+    if not hermitian:
         total = sum(np.trace(b).real for b in blocks.values())
         if not np.isfinite(total) or total <= 0.0:
             raise NumericError(f"{spec.kind} produced an unnormalizable state")

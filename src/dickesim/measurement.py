@@ -190,7 +190,7 @@ def husimi_grid(
             # The +i phase labels grid points by the physical Bloch direction, so a
             # state whose mean spin points along (theta0, phi0) peaks at that cell.
             v = radial[:, None] * np.exp(1j * np.outer(k, phis))
-            q += np.einsum("ip,ij,jp->p", v.conj(), rho, v).real
+            q += np.einsum("ip,ip->p", v.conj(), rho @ v).real
         return q
 
     grid = np.array(parallel_map(row, list(thetas), workers))

@@ -74,6 +74,10 @@ def tnt_coupling_value(
     if omega == 0.0:
         # no linear term at all: N/Lambda = 0, plain one-axis twisting
         return float("inf")
+    if theta == omega:
+        # the ansatz case; N * t / t misses N by one ulp for some t, and an
+        # exact N keeps the gate's cached eigenpairs independent of t
+        return float(n_particles)
     return n_particles * theta / omega
 
 

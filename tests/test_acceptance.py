@@ -35,6 +35,7 @@ from dickesim import (
     op_jz,
     probabilities,
 )
+from dickesim.bench import layer_seconds
 from dickesim.gates import Circuit, GateSpec
 from dickesim.oracle import extract_collective as oracle_extract
 from dickesim.oracle import full_run
@@ -359,20 +360,8 @@ def test_criterion_8_phase_transition_sweep():
 # --------------------------------------------------------------------------
 
 def _layer_seconds(n: int, noise: float | None, repeats: int = 3) -> float:
-    specs = [
-        GateSpec("RX", (np.pi / 3.0,), noise=noise),
-        GateSpec("RY", (np.pi / 3.0,), noise=noise),
-        GateSpec("RZ", (np.pi / 3.0,), noise=noise),
-    ]
-    best = float("inf")
-    for _ in range(repeats):
-        state = ground_state(n)
-        t0 = time.perf_counter()
-        for _ in range(3):
-            for spec in specs:
-                state = apply_gate(state, spec)
-        best = min(best, time.perf_counter() - t0)
-    return best
+    # three RX, RY, RZ(pi/3) layers, best of three: the `dickesim bench` timing
+    return layer_seconds(n, noise, layers=3, repeats=repeats)
 
 
 def _slope(ns, ts):

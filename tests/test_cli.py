@@ -215,3 +215,26 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["explode"])
         assert exc.value.code == 2
+
+
+class TestResources:
+    def test_memory_error_is_clean_exit_2(self, circuit_file, capsys, monkeypatch):
+        from dickesim import cli
+
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 7.45 GiB")
+
+        monkeypatch.setattr(cli, "cmd_run", exhausted)
+        assert main(["run", circuit_file]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 7.45 GiB\n"
+
+    def test_bare_memory_error(self, circuit_file, capsys, monkeypatch):
+        from dickesim import cli
+
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_run", exhausted)
+        assert main(["run", circuit_file]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"

@@ -1,0 +1,262 @@
+"""The eigenpair cache behind ``apply_gate``.
+
+Hermitian, non-diagonal block generators keep their eigenpairs (w, V) in one
+byte-bounded LRU cache keyed by (2j, kind, axes, every parameter but the
+angle[, N/Lambda]).  A key is stored on its second request, and a hit must
+give states bit-identical to a cold cache.
+"""
+
+import numpy as np
+import pytest
+
+from dickesim import CollectiveState, build_ledger, ground_state
+from dickesim import gates
+from dickesim.gates import GateSpec, apply_gate
+from dickesim.vqa import Ansatz, cost, grad_findiff
+
+CACHE = gates._EIGENPAIRS
+
+# every Hermitian kind whose generator is not diagonal in m
+CACHED_SPECS = (
+    GateSpec("RX", (0.7,)),
+    GateSpec("RY", (-1.3,)),
+    GateSpec("RN", (0.9, 2.1)),
+    GateSpec("RX2", (0.4,)),
+    GateSpec("RY2", (-0.6,)),
+    GateSpec("OAT", (0.3,), axes="x"),
+    GateSpec("OAT", (0.3,), axes="y"),
+    GateSpec("TAT", (0.2,), axes="xy"),
+    GateSpec("TAT", (-0.5,), axes="zy"),
+    GateSpec("TNT", (0.35, 2.5), axes="zx"),
+    GateSpec("TNT", (0.35, 2.5), axes="yz"),
+    GateSpec("GMS", (0.45, 0.8)),
+)
+UNCACHED_SPECS = (
+    GateSpec("RZ", (0.7,)),
+    GateSpec("RZ2", (0.7,)),
+    GateSpec("OAT", (0.3,), axes="z"),
+    GateSpec("TAT", (0.3,), axes="zz"),
+    GateSpec("R_PLUS", (0.2,)),
+    GateSpec("TAT", (0.2,), axes="x,minus"),
+)
+
+
+@pytest.fixture(autouse=True)
+def cold_cache():
+    CACHE.clear()
+    yield
+    CACHE.clear()
+
+
+def mixed_state(n, seed=3):
+    """Random PSD blocks on every block of the ledger."""
+    rng = np.random.default_rng(seed)
+    ledger = build_ledger(n)
+    blocks = {}
+    for b in ledger.blocks:
+        a = rng.normal(size=(b.dim, b.dim)) + 1j * rng.normal(size=(b.dim, b.dim))
+        blocks[b.j] = a @ a.conj().T
+    total = sum(np.trace(m).real for m in blocks.values())
+    return CollectiveState(ledger, {j: m / total for j, m in blocks.items()})
+
+
+def assert_states_equal(a, b):
+    assert a.active_js == b.active_js
+    for j, rho in a.items():
+        assert np.array_equal(rho, b.block(j)), f"block j = {j} differs"
+
+
+def forbid_eigh(monkeypatch):
+    def refuse(g, j):
+        raise AssertionError(f"eigh called for block j = {j}")
+
+    monkeypatch.setattr(gates, "_eigh", refuse)
+
+
+@pytest.mark.parametrize("spec", CACHED_SPECS, ids=lambda s: f"{s.kind}{''.join(s.axes or ())}")
+def test_hit_is_bit_identical_to_cold_cache(spec, monkeypatch):
+    state = mixed_state(7)
+    cold = apply_gate(state, spec)
+    assert len(CACHE) == 0
+    stored = apply_gate(state, spec)
+    assert len(CACHE) == len(state.active_js)
+    forbid_eigh(monkeypatch)
+    hit = apply_gate(state, spec)
+    assert_states_equal(cold, stored)
+    assert_states_equal(cold, hit)
+
+
+def test_the_angle_is_not_part_of_the_key(monkeypatch):
+    state = mixed_state(6)
+    apply_gate(state, GateSpec("RN", (0.1, 0.4)))
+    apply_gate(state, GateSpec("RN", (0.2, 0.4)))
+    assert len(CACHE) == len(state.active_js)
+    with monkeypatch.context() as patch:
+        forbid_eigh(patch)
+        hit = apply_gate(state, GateSpec("RN", (1.7, 0.4)))
+    CACHE.clear()
+    assert_states_equal(hit, apply_gate(state, GateSpec("RN", (1.7, 0.4))))
+
+
+@pytest.mark.parametrize("spec", UNCACHED_SPECS, ids=lambda s: f"{s.kind}{''.join(s.axes or ())}")
+def test_diagonal_and_non_hermitian_gates_are_not_cached(spec):
+    state = mixed_state(5)
+    for _ in range(3):
+        apply_gate(state, spec)
+    assert len(CACHE) == 0
+
+
+def test_a_key_seen_once_is_not_stored():
+    state = mixed_state(6)
+    apply_gate(state, GateSpec("RX", (0.3,)))
+    assert len(CACHE) == 0 and CACHE.nbytes == 0
+    apply_gate(state, GateSpec("RX", (0.5,)))
+    assert len(CACHE) == len(state.active_js)
+
+
+def test_seen_once_set_is_bounded():
+    cache = gates._EigenpairCache(max_bytes=2**20, max_seen=8)
+    for k in range(50):
+        assert cache.lookup((k,)) == (None, False)
+    assert len(cache._seen) == 8
+    # the oldest keys were forgotten, the newest ones are remembered
+    assert cache.lookup((0,)) == (None, False)
+    assert cache.lookup((49,)) == (None, True)
+
+
+def test_two_azimuths_do_not_share_an_entry():
+    state = mixed_state(6)
+    blocks = len(state.active_js)
+    for phi in (0.3, 0.3 + 1e-12):
+        for _ in range(2):
+            apply_gate(state, GateSpec("RN", (0.8, phi)))
+    assert len(CACHE) == 2 * blocks
+    hit = apply_gate(state, GateSpec("RN", (0.8, 0.3 + 1e-12)))
+    CACHE.clear()
+    assert_states_equal(hit, apply_gate(state, GateSpec("RN", (0.8, 0.3 + 1e-12))))
+
+
+def test_signed_zero_azimuths_are_distinct_keys():
+    assert gates._gate_key(GateSpec("RN", (0.8, 0.0)), 6) != gates._gate_key(
+        GateSpec("RN", (0.8, -0.0)), 6
+    )
+
+
+def test_two_tnt_couplings_do_not_share_an_entry():
+    state = mixed_state(6)
+    blocks = len(state.active_js)
+    for coupling in (2.0, 3.0):
+        for _ in range(2):
+            apply_gate(state, GateSpec("TNT", (0.4, coupling), axes="zx"))
+    assert len(CACHE) == 2 * blocks
+    hit = apply_gate(state, GateSpec("TNT", (0.4, 2.0), axes="zx"))
+    CACHE.clear()
+    assert_states_equal(hit, apply_gate(state, GateSpec("TNT", (0.4, 2.0), axes="zx")))
+
+
+def test_tnt_entries_depend_on_n():
+    # block j = 2 exists at N = 4 and N = 6, but N/Lambda differs
+    spec = GateSpec("TNT", (0.4, 2.0), axes="zx")
+    states = [
+        CollectiveState(build_ledger(n), {2.0: np.eye(5, dtype=complex) / 5.0}) for n in (4, 6)
+    ]
+    for state in states:
+        for _ in range(2):
+            apply_gate(state, spec)
+    assert len(CACHE) == 2
+    hit = apply_gate(states[0], spec)
+    CACHE.clear()
+    assert_states_equal(hit, apply_gate(states[0], spec))
+
+
+def test_cached_arrays_are_read_only():
+    state = mixed_state(5)
+    for _ in range(2):
+        apply_gate(state, GateSpec("GMS", (0.3, 1.1)))
+    assert len(CACHE) > 0
+    for w, v in CACHE._entries.values():
+        assert not w.flags.writeable and not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0, 0] = 0.0
+
+
+def test_cached_bytes_stay_within_budget_at_n_400():
+    # one 401 x 401 block: an entry takes about 2.6 MB, so RX and RY together
+    # exceed the 4 MiB budget and the older one must go
+    state = ground_state(400)
+    for spec in (GateSpec("RX", (0.2,)), GateSpec("RY", (0.3,))) * 3:
+        state = apply_gate(state, spec)
+        assert 0 <= CACHE.nbytes <= gates.EIGENPAIR_CACHE_BYTES
+    assert len(CACHE) == 1
+    assert CACHE.nbytes == sum(w.nbytes + v.nbytes for w, v in CACHE._entries.values())
+
+
+def test_an_entry_larger_than_the_budget_is_never_stored():
+    cache = gates._EigenpairCache(max_bytes=1000, max_seen=8)
+    w, v = np.zeros(10), np.zeros((10, 10), dtype=complex)
+    assert cache.lookup(("big",)) == (None, False)
+    assert cache.lookup(("big",)) == (None, True)
+    cache.store(("big",), w, v)
+    assert len(cache) == 0 and cache.nbytes == 0
+
+
+def test_lru_evicts_least_recently_used():
+    entry = 2 * np.zeros(4).nbytes
+    cache = gates._EigenpairCache(max_bytes=2 * entry, max_seen=8)
+    for key in ("a", "b"):
+        cache.store((key,), np.zeros(4), np.zeros(4))
+    cache.lookup(("a",))  # "b" is now the least recently used
+    cache.store(("c",), np.zeros(4), np.zeros(4))
+    assert list(cache._entries) == [("a",), ("c",)]
+
+
+def test_grad_findiff_threads_match_serial_bitwise():
+    ansatz = Ansatz(40)
+    theta = np.array([-0.03, 0.05, -0.02])
+
+    def fn(t):
+        return cost(t, ansatz)
+
+    serial = grad_findiff(fn, theta, 1e-3, workers=1)
+    CACHE.clear()
+    threaded = grad_findiff(fn, theta, 1e-3, workers=2)
+    assert np.array_equal(serial, threaded)
+    assert np.array_equal(serial, grad_findiff(fn, theta, 1e-3, workers=2))
+
+
+def test_concurrent_lookups_and_stores_keep_the_byte_count():
+    # more threads than cores and a short switch interval, so a lost update
+    # of the byte count or the LRU order would show
+    import sys
+    import threading
+
+    entry = 2 * np.zeros(16).nbytes
+    cache = gates._EigenpairCache(max_bytes=10 * entry, max_seen=32)
+    errors = []
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for _ in range(2000):
+                key = (int(rng.integers(40)),)
+                hit, admit = cache.lookup(key)
+                if admit:
+                    cache.store(key, np.zeros(16), np.zeros(16))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert 0 < len(cache) <= 10
+    assert cache.nbytes == sum(w.nbytes + v.nbytes for w, v in cache._entries.values())
+    assert len(cache._seen) <= 32

@@ -31,6 +31,12 @@ class TestTntCouplingValue:
     def test_equal_angle_gives_n(self):
         assert tnt_coupling_value(64, 0.37, 0.37, "appendix-omega") == pytest.approx(64.0)
 
+    def test_equal_angle_gives_n_exactly(self):
+        # N * t / t misses N by one ulp for about one t in eight
+        ts = np.random.default_rng(7).uniform(-1.0, 1.0, 10_000)
+        assert any(100 * t / t != 100.0 for t in ts)
+        assert all(tnt_coupling_value(100, t, t, "appendix-omega") == 100.0 for t in ts)
+
     def test_zero_theta_degenerates_to_identity_gate(self):
         assert tnt_coupling_value(10, 0.0, 0.5, "appendix-omega") == 1.0
 
