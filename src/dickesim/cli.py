@@ -30,6 +30,7 @@ from .errors import (
 )
 from .gates import Circuit, GateSpec, apply_circuit, apply_gate, circuit_from_json
 from .measurement import (
+    _fmt,
     expval,
     husimi_csv,
     husimi_grid,
@@ -50,10 +51,6 @@ from .vqa import (
 )
 
 __all__ = ["main"]
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _emit(text: str, out: str | None):
@@ -167,7 +164,6 @@ def cmd_vqa(args) -> int:
         max_iter=args.max_iter,
         tolerance=args.tol,
         eps_fd=args.eps_fd,
-        workers=args.threads,
     )
     if args.init == "random":
         initial = None
@@ -215,11 +211,15 @@ def cmd_qpt(args) -> int:
 
 
 def cmd_husimi(args) -> int:
+    if args.theta_steps < 1:
+        raise DomainError("--theta-steps must be >= 1")
+    if args.phi_steps < 1:
+        raise DomainError("--phi-steps must be >= 1")
     circuit = _load_circuit(args.circuit)
     state = apply_circuit(circuit, ground_state(circuit.n_particles))
     thetas = np.linspace(0.0, np.pi, args.theta_steps)
     phis = np.linspace(0.0, 2.0 * np.pi, args.phi_steps, endpoint=False)
-    grid = husimi_grid(state, thetas, phis, workers=args.threads)
+    grid = husimi_grid(state, thetas, phis)
     _emit(husimi_csv(thetas, phis, grid), args.out)
     return 0
 
@@ -229,6 +229,8 @@ def cmd_bench(args) -> int:
         raise DomainError("--n-max must be >= 10")
     if not 1 <= args.n_min < args.n_max:
         raise DomainError("need 1 <= --n-min < --n-max")
+    if args.points < 1:
+        raise DomainError("--points must be >= 1")
     noise = args.noise if args.noise > 0 else None
     ns = sorted(set(np.geomspace(args.n_min, args.n_max, args.points).astype(int)))
     rows = [
@@ -247,8 +249,6 @@ def cmd_bench(args) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--threads", type=int, default=1, help="worker thread cap")
-    sub.add_argument("--seed", type=int, default=0, help="PRNG seed")
     sub.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
 
@@ -267,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=f"cross-check against the full 2^N simulator (N <= {FULL_SPACE_CAP})",
     )
+    p.add_argument("--seed", type=int, default=0, help="PRNG seed for --shots")
     _add_common(p)
     p.set_defaults(func=cmd_run)
 
@@ -300,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tnt-coupling", choices=TNT_COUPLING_READINGS, default=DEFAULT_TNT_COUPLING
     )
+    p.add_argument("--seed", type=int, default=0, help="PRNG seed for --init random")
     _add_common(p)
     p.set_defaults(func=cmd_vqa)
 

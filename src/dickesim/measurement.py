@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .dicke import CollectiveState, _ladder_elements, css_amplitudes
 from .errors import DomainError, NumericError
 
@@ -169,7 +168,6 @@ def husimi_grid(
     state: CollectiveState,
     theta_points: np.ndarray,
     phi_points: np.ndarray,
-    workers: int = 1,
 ) -> np.ndarray:
     """Q(theta, phi) = sum_j <theta,phi; j| rho_j |theta,phi; j> over active
     blocks, with |theta,phi; j> the spin-j coherent state.  Returns a grid of
@@ -193,7 +191,7 @@ def husimi_grid(
             q += np.einsum("ip,ip->p", v.conj(), rho @ v).real
         return q
 
-    grid = np.array(parallel_map(row, list(thetas), workers))
+    grid = np.array([row(theta) for theta in thetas])
     if grid.min() < -1e-10:
         raise NumericError(f"husimi value {grid.min()} below zero; state not PSD")
     if grid.max() > 1.0 + 1e-10:

@@ -28,7 +28,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .dicke import ground_state
 from .errors import DomainError, NumericError, UnsupportedConfigError
 from .gates import Circuit, GateSpec, apply_circuit
@@ -118,7 +117,6 @@ def grad_findiff(
     fn: Callable[[np.ndarray], float],
     theta: np.ndarray,
     eps_fd: float,
-    workers: int = 1,
 ) -> np.ndarray:
     """Central differences per coordinate: 2*dim independent evaluations."""
     if eps_fd <= 0:
@@ -130,7 +128,7 @@ def grad_findiff(
             p = theta.copy()
             p[k] += sign * eps_fd
             probes.append(p)
-    values = parallel_map(fn, probes, workers)
+    values = [fn(p) for p in probes]
     grad = np.empty(theta.size)
     for k in range(theta.size):
         grad[k] = (values[2 * k] - values[2 * k + 1]) / (2.0 * eps_fd)
@@ -262,7 +260,6 @@ class OptimizerConfig:
     # that avoids that at N=100 would zero the whole step at small N.
     # An explicit float is passed through to qng_step as-is.
     pinv_threshold: float | None = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.kind not in ("gd", "adam", "qng"):
@@ -317,7 +314,7 @@ def fit(
     for _ in range(config.max_iter):
         start = time.perf_counter()
         try:
-            grad = grad_findiff(fn, theta, config.eps_fd, config.workers)
+            grad = grad_findiff(fn, theta, config.eps_fd)
             if config.kind == "gd":
                 theta = gd_step(theta, grad, config.learning_rate)
             elif config.kind == "adam":

@@ -181,12 +181,11 @@ class TestHusimi:
         values = [float(r[2]) for r in rows]
         assert min(values) >= 0.0 and max(values) <= 1.0
 
-    def test_threads_deterministic(self, circuit_file, capsys):
-        main(["husimi", circuit_file, "--theta-steps", "7", "--phi-steps", "5"])
-        single = capsys.readouterr().out
-        main(["husimi", circuit_file, "--theta-steps", "7", "--phi-steps", "5",
-              "--threads", "4"])
-        assert capsys.readouterr().out == single
+    @pytest.mark.parametrize("flag", ["--theta-steps", "--phi-steps"])
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_bad_step_count_exit_2(self, circuit_file, capsys, flag, count):
+        assert main(["husimi", circuit_file, flag, count]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be >= 1\n"
 
 
 class TestBench:
@@ -204,6 +203,11 @@ class TestBench:
     def test_bounds_validated(self, capsys):
         assert main(["bench", "--n-min", "30", "--n-max", "20"]) == 2
 
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_bad_points_exit_2(self, capsys, points):
+        assert main(["bench", "--points", points]) == 2
+        assert capsys.readouterr().err == "error: --points must be >= 1\n"
+
 
 class TestUsage:
     def test_no_command_is_usage_error(self):
@@ -215,6 +219,54 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["explode"])
         assert exc.value.code == 2
+
+
+def _valid_argv(command, circuit_file):
+    """Smallest argv each subcommand accepts, so only an added flag can fail."""
+    return {
+        "run": ["run", circuit_file],
+        "squeeze": ["squeeze", "--n", "4", "--steps", "2"],
+        "vqa": ["vqa", "--n", "4", "--max-iter", "1"],
+        "qpt": ["qpt", "--n", "4", "--steps", "2"],
+        "husimi": ["husimi", circuit_file, "--theta-steps", "2", "--phi-steps", "2"],
+        "bench": ["bench", "--n-max", "12", "--points", "1", "--layers", "1",
+                  "--repeats", "1"],
+    }[command]
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "command", ["run", "squeeze", "vqa", "qpt", "husimi", "bench"]
+    )
+    def test_threads_rejected(self, command, circuit_file, capsys):
+        assert main(_valid_argv(command, circuit_file)) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(_valid_argv(command, circuit_file) + ["--threads", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["squeeze", "qpt", "husimi", "bench"])
+    def test_seed_rejected_where_nothing_is_random(self, command, circuit_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(_valid_argv(command, circuit_file) + ["--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    def test_seed_drives_run_and_vqa(self, circuit_file, capsys):
+        from dickesim import apply_circuit, circuit_from_json, ground_state, sample
+        from dickesim.measurement import shot_counts_csv
+
+        circuit = circuit_from_json(ROT_JSON)
+        state = apply_circuit(circuit, ground_state(circuit.n_particles))
+        assert main(["run", circuit_file, "--shots", "200", "--seed", "11"]) == 0
+        counts = capsys.readouterr().out.split("\n\n")[1]
+        assert counts == shot_counts_csv(sample(state, 200, 11))
+
+        assert main(["vqa", "--n", "4", "--max-iter", "1", "--seed", "11"]) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        start = np.random.default_rng(11).uniform(-0.1, 0.1, 3)
+        assert [float(v) for v in rows[0][3:]] == start.tolist()
 
 
 class TestResources:

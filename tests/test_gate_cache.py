@@ -211,17 +211,34 @@ def test_lru_evicts_least_recently_used():
 
 
 def test_grad_findiff_threads_match_serial_bitwise():
+    # two threads evaluate the same cost probes through the shared cache
+    import threading
+
     ansatz = Ansatz(40)
     theta = np.array([-0.03, 0.05, -0.02])
 
     def fn(t):
         return cost(t, ansatz)
 
-    serial = grad_findiff(fn, theta, 1e-3, workers=1)
+    def in_two_threads():
+        grads = [None, None]
+
+        def work(k):
+            grads[k] = grad_findiff(fn, theta, 1e-3)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        return grads
+
     CACHE.clear()
-    threaded = grad_findiff(fn, theta, 1e-3, workers=2)
-    assert np.array_equal(serial, threaded)
-    assert np.array_equal(serial, grad_findiff(fn, theta, 1e-3, workers=2))
+    serial = grad_findiff(fn, theta, 1e-3)
+    CACHE.clear()
+    for grad in in_two_threads() + in_two_threads():  # cold cache, then warm
+        assert np.array_equal(serial, grad)
 
 
 def test_concurrent_lookups_and_stores_keep_the_byte_count():

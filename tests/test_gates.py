@@ -19,13 +19,12 @@ from dickesim import (
     excited_state,
     expval,
     exponentiate,
-    extract_collective,
-    full_run,
     generator,
     ground_state,
     op_jz,
     probabilities,
 )
+from dickesim.oracle import extract_collective, full_run
 from tests.conftest import assert_valid_state, random_circuit
 
 

@@ -189,15 +189,6 @@ class TestHusimi:
         integral = np.trapezoid(np.trapezoid(integrand, phis, axis=1), thetas)
         assert (n + 1) / (4 * np.pi) * integral == pytest.approx(1.0, abs=1e-3)
 
-    def test_workers_agree(self):
-        state = css_state(9, 1.3, 0.2)
-        thetas = np.linspace(0, np.pi, 11)
-        phis = np.linspace(0, 2 * np.pi, 13)
-        np.testing.assert_array_equal(
-            husimi_grid(state, thetas, phis, workers=1),
-            husimi_grid(state, thetas, phis, workers=4),
-        )
-
     def test_trace_above_one_raises(self):
         # an unnormalized state (trace 2) peaks at Q = 2; it is not clipped
         state = ground_state(4)

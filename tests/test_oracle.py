@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 
 from dickesim import (
-    FULL_SPACE_CAP,
     Circuit,
     GateSpec,
     ResourceError,
     build_ledger,
     degeneracy,
+)
+from dickesim.oracle import (
+    FULL_SPACE_CAP,
     extract_collective,
     full_collective_ops,
     full_run,
+    ground_density,
     jm_projectors,
 )
-from dickesim.oracle import ground_density
 
 
 def test_collective_ops_algebra():

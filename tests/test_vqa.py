@@ -76,16 +76,6 @@ class TestGradient:
         with pytest.raises(DomainError):
             grad_findiff(lambda t: 0.0, np.zeros(2), 0.0)
 
-    def test_workers_agree(self):
-        a = Ansatz(16)
-        fn = lambda t: cost(t, a)
-        theta = np.array([0.02, 0.05, 0.01])
-        np.testing.assert_allclose(
-            grad_findiff(fn, theta, 1e-3, workers=1),
-            grad_findiff(fn, theta, 1e-3, workers=3),
-            atol=1e-12,
-        )
-
     def test_quadratic_convergence_order(self):
         # central differences: halving eps shrinks the truncation error 4x;
         # the reference is Richardson extrapolation of the two finest steps.
