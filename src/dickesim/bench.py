@@ -8,6 +8,7 @@ import time
 import numpy as np
 
 from .dicke import ground_state
+from .errors import DomainError
 from .gates import GateSpec, apply_gate
 
 __all__ = ["rotation_layer", "layer_seconds"]
@@ -22,9 +23,13 @@ def rotation_layer(noise: float | None = None) -> tuple[GateSpec, ...]:
 def layer_seconds(n: int, noise: float | None, layers: int, repeats: int) -> float:
     """Best wall time, over ``repeats`` runs from the N-particle ground state,
     of ``layers`` rotation layers."""
+    if layers < 1:
+        raise DomainError(f"layers must be >= 1, got {layers}")
+    if repeats < 1:
+        raise DomainError(f"repeats must be >= 1, got {repeats}")
     specs = rotation_layer(noise)
     best = float("inf")
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         state = ground_state(n)
         start = time.perf_counter()
         for _ in range(layers):

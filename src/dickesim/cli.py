@@ -125,8 +125,6 @@ def _squeeze_circuit(gate: str, n: int, theta: float, phi: float,
     elif gate == "tnt":
         omega = coupling if coupling is not None else n * theta
         lam = tnt_coupling_value(n, theta, omega, reading)
-        if theta == 0.0:
-            lam = 1.0  # identity gate; keep the coupling in-domain
         twist = GateSpec("TNT", (theta, lam), axes="zx")
     else:
         raise DomainError(f"unknown squeeze gate {gate!r}")

@@ -384,7 +384,7 @@ def css_amplitudes(twoj: int, theta: float, phi: float) -> np.ndarray:
             alive &= expo == 0  # 0^0 = 1, 0^k = 0
         else:
             ln_mag = ln_mag + expo * np.log(base)
-    amp = np.where(alive, np.exp(ln_mag), 0.0) * np.exp(-1j * phi * ks)
+    amp = np.exp(np.where(alive, ln_mag, -np.inf)) * np.exp(-1j * phi * ks)
     return amp / np.linalg.norm(amp)
 
 

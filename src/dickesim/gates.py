@@ -15,17 +15,19 @@ collective operators:
     TNT(t, L, ab)    G = J_a^2 - (N/L) J_b
     GMS(t, phi)      G = (J_x cos phi + J_y sin phi)^2
 
-Generators are built only on the blocks a state occupies, from the cached
-per-block spin matrices.  Hermitian generators are exponentiated by per-block
-eigendecomposition; generators diagonal in m (RZ, RZ2, and OAT/TAT/TNT whose
-axes are all z) need no decomposition, and their gates act on rho_j as the
-elementwise phase p p^dag.  Non-Hermitian generators (any gate touching
+``generator`` returns the recipe of G, and one per-block kernel,
+``_propagator``, turns it into K_j on the blocks a state occupies, from the
+cached per-block spin matrices; ``apply_gate`` and ``exponentiate`` both call
+it.  Generators diagonal in m (RZ, RZ2, and OAT/TAT/TNT whose axes are all z)
+give a phase vector p, K_j = diag(p), and their gates act on rho_j as the
+elementwise phase p p^dag.  Other Hermitian generators are exponentiated by
+per-block eigendecomposition.  Non-Hermitian generators (any gate touching
 J_+/J_-) go through scipy's Pade scaling-and-squaring, and the conjugated
 state is renormalized to unit trace and flagged ``conditional`` (the map is
 not trace preserving).
 
 A block generator depends on 2j and on every gate parameter except the angle
-(and, for TNT, on N/Lambda), so ``apply_gate`` keeps the eigenpairs (w, V) of
+(and, for TNT, on N/Lambda), so the kernel keeps the eigenpairs (w, V) of
 Hermitian, non-diagonal block generators in one byte-bounded LRU cache shared
 by every call.  A key is stored on its second request only, so gates whose
 azimuth is drawn afresh each time never fill it.  A hit skips the generator
@@ -39,18 +41,12 @@ import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
 
-from .dicke import (
-    BlockLedger,
-    CollectiveOperator,
-    CollectiveState,
-    build_ledger,
-    spin_matrices,
-)
+from .dicke import BlockLedger, CollectiveState, _twoj, spin_matrices
 from .errors import CircuitParseError, DomainError, NumericError
 
 __all__ = [
@@ -222,68 +218,11 @@ def _is_diagonal(spec: GateSpec) -> bool:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class BlockGenerator:
-    """Generator matrices G_j for the blocks they were built on."""
-
-    blocks: Mapping[float, np.ndarray]
-    hermitian: bool
-    diagonal: bool
-
-    @property
-    def js(self) -> tuple[float, ...]:
-        return tuple(self.blocks)
-
-    def block(self, j: float) -> np.ndarray:
-        return self.blocks[j]
-
-
-def generator(
-    spec: GateSpec, ledger: BlockLedger, js: tuple[float, ...] | None = None
-) -> tuple[BlockGenerator, float]:
-    """Generator G and angle t with gate K = exp(-i t G), built on blocks
-    ``js`` only (every ledger block if None)."""
-    build, angle, herm = _recipe(spec, ledger.n_particles)
-    if js is None:
-        js = ledger.js
-    blocks = {
-        j: build(spin_matrices(ledger.blocks[ledger.block_index(j)].dim - 1))
-        for j in js
-    }
-    return BlockGenerator(blocks, herm, _is_diagonal(spec)), angle
-
-
 def _eigh(g: np.ndarray, j: float) -> tuple[np.ndarray, np.ndarray]:
     try:
         return np.linalg.eigh(g)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed in block j = {j}") from exc
-
-
-def _unitary(w: np.ndarray, v: np.ndarray, angle: float) -> np.ndarray:
-    return (v * np.exp(-1j * angle * w)) @ v.conj().T
-
-
-def _exp_block(g: np.ndarray, angle: float, hermitian: bool, j: float) -> np.ndarray:
-    if hermitian:
-        return _unitary(*_eigh(g, j), angle)
-    return expm(-1j * angle * g)
-
-
-def exponentiate(
-    operator: BlockGenerator | CollectiveOperator,
-    angle: float,
-    js: tuple[float, ...] | None = None,
-) -> dict[float, np.ndarray]:
-    """Per-block exp(-i * angle * G_j) on blocks ``js`` (all of the operator's
-    blocks if None).  A diagonal generator gives diagonal matrices, no eigh."""
-    if js is None:
-        js = operator.js
-    if isinstance(operator, BlockGenerator) and operator.diagonal:
-        return {j: np.diag(np.exp(-1j * angle * operator.block(j).diagonal())) for j in js}
-    return {
-        j: _exp_block(operator.block(j), angle, operator.hermitian, j) for j in js
-    }
 
 
 # Byte budget of the eigenpair cache.  It must hold the working set of a
@@ -361,47 +300,90 @@ def _gate_key(spec: GateSpec, n_particles: int) -> tuple:
     return spec.kind, spec.axes, tuple(p.hex() for p in params)
 
 
-def _cached_eigh(
-    build: Callable, twoj: int, gate_key: tuple, j: float
-) -> tuple[np.ndarray, np.ndarray]:
-    key = (twoj,) + gate_key
-    hit, admit = _EIGENPAIRS.lookup(key)
-    if hit is not None:
-        return hit
-    w, v = _eigh(build(spin_matrices(twoj)), j)
-    if admit:
-        _EIGENPAIRS.store(key, w, v)
-    return w, v
+@dataclass(frozen=True, eq=False)
+class BlockGenerator:
+    """A generator G kept as its recipe, not as matrices: ``block(j)`` builds
+    G_j when it is asked for.  ``key`` is everything G_j depends on besides
+    2j (see ``_gate_key``); ``js`` are the blocks it was made for."""
+
+    build: Callable
+    hermitian: bool
+    diagonal: bool
+    key: tuple
+    js: tuple[float, ...]
+
+    def block(self, j: float) -> np.ndarray:
+        return self.build(spin_matrices(_twoj(j)))
+
+
+def generator(
+    spec: GateSpec, ledger: BlockLedger, js: tuple[float, ...] | None = None
+) -> tuple[BlockGenerator, float]:
+    """Generator G and angle t with gate K = exp(-i t G), for blocks ``js``
+    only (every ledger block if None).  No block is built here."""
+    build, angle, herm = _recipe(spec, ledger.n_particles)
+    if js is None:
+        js = ledger.js
+    for j in js:
+        ledger.block_index(j)
+    key = _gate_key(spec, ledger.n_particles)
+    return BlockGenerator(build, herm, _is_diagonal(spec), key, tuple(js)), angle
+
+
+def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
+    """K_j = exp(-i angle G_j), the one per-block kernel.
+
+    A generator diagonal in m gives the phase vector p, K_j = diag(p).  A
+    Hermitian one gives (V e^{-i angle w}) V^dag from its eigenpairs, taken
+    from the cache when they are there; any other goes through expm.
+    """
+    if gen.diagonal:
+        return np.exp(-1j * angle * gen.block(j).diagonal())
+    if not gen.hermitian:
+        return expm(-1j * angle * gen.block(j))
+    key = (_twoj(j),) + gen.key
+    pair, admit = _EIGENPAIRS.lookup(key)
+    if pair is None:
+        pair = _eigh(gen.block(j), j)
+        if admit:
+            _EIGENPAIRS.store(key, *pair)
+    w, v = pair
+    return (v * np.exp(-1j * angle * w)) @ v.conj().T
+
+
+def exponentiate(
+    operator: BlockGenerator, angle: float, js: tuple[float, ...] | None = None
+) -> dict[float, np.ndarray]:
+    """Per-block matrices exp(-i * angle * G_j) on blocks ``js`` (the
+    generator's blocks if None), from the kernel ``apply_gate`` uses."""
+    if js is None:
+        js = operator.js
+    ks = {j: _propagator(operator, angle, j) for j in js}
+    if operator.diagonal:
+        return {j: np.diag(p) for j, p in ks.items()}
+    return ks
 
 
 def apply_gate(state: CollectiveState, spec: GateSpec) -> CollectiveState:
     """rho -> K rho K^dag per active block, then the optional noise channel.
 
-    Each active block is handled on its own: its K_j is formed, applied and
-    dropped.  A diagonal K = diag(p) acts as the elementwise product
-    rho * (p p^dag); a Hermitian generator takes its eigenpairs from the
-    cache when they are there.  Unitary gates leave the active block set
-    unchanged; a noise step may activate neighboring blocks.  Non-Hermitian
-    generators give a non-unitary K, so the result is renormalized to unit
-    trace and flagged conditional.
+    Each active block is handled on its own: its K_j is formed by
+    ``_propagator``, applied and dropped.  A diagonal K = diag(p) acts as the
+    elementwise product rho * (p p^dag).  Unitary gates leave the active
+    block set unchanged; a noise step may activate neighboring blocks.
+    Non-Hermitian generators give a non-unitary K, so the result is
+    renormalized to unit trace and flagged conditional.
     """
-    build, angle, hermitian = _recipe(spec, state.n_particles)
-    diagonal = _is_diagonal(spec)
-    gate_key = _gate_key(spec, state.n_particles)
+    gen, angle = generator(spec, state.ledger, state.active_js)
     blocks = {}
     for j, rho in state.items():
-        twoj = rho.shape[0] - 1
-        if diagonal:
-            p = np.exp(-1j * angle * build(spin_matrices(twoj)).diagonal())
-            blocks[j] = rho * np.outer(p, p.conj())
-            continue
-        if hermitian:
-            k = _unitary(*_cached_eigh(build, twoj, gate_key, j), angle)
+        k = _propagator(gen, angle, j)
+        if gen.diagonal:
+            blocks[j] = rho * np.outer(k, k.conj())
         else:
-            k = expm(-1j * angle * build(spin_matrices(twoj)))
-        blocks[j] = k @ rho @ k.conj().T
+            blocks[j] = k @ rho @ k.conj().T
     conditional = state.conditional
-    if not hermitian:
+    if not gen.hermitian:
         total = sum(np.trace(b).real for b in blocks.values())
         if not np.isfinite(total) or total <= 0.0:
             raise NumericError(f"{spec.kind} produced an unnormalizable state")

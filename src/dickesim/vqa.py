@@ -65,11 +65,11 @@ def tnt_coupling_value(
         raise DomainError(
             f"tnt coupling reading must be one of {TNT_COUPLING_READINGS}, got {reading!r}"
         )
-    if reading == "table1":
-        return omega
     if theta == 0.0:
         # the gate is exp(-i 0 G) = identity for any finite coupling
         return 1.0
+    if reading == "table1":
+        return omega
     if omega == 0.0:
         # no linear term at all: N/Lambda = 0, plain one-axis twisting
         return float("inf")

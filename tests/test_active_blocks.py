@@ -4,24 +4,26 @@
 diagonal gates as phases, and reads moments from block diagonals.  The
 reference here is the all-block path: generators composed from the ``op_j*``
 operators with ``CollectiveOperator`` arithmetic over the whole ledger, every
-active block conjugated by their exponentials, and expectation values taken
-as dense traces sum_j tr(rho_j O_j).
+active block conjugated by a dense exponential of its generator block (eigh or
+expm), and expectation values taken as dense traces sum_j tr(rho_j O_j).
 """
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from dickesim import (
-    CollectiveOperator,
     CollectiveState,
     DegenerateFrameError,
     OBSERVABLES,
     apply_circuit,
+    apply_gate,
     build_ledger,
     css_state,
     depolarize,
     expval,
     exponentiate,
+    generator,
     get_xi_2_R,
     get_xi_2_S,
     ground_state,
@@ -51,14 +53,23 @@ def all_block_ops(ledger):
     }
 
 
+def dense_exponential(g, angle, hermitian):
+    """exp(-i angle g) of one dense block: eigh for Hermitian g, expm else."""
+    if hermitian:
+        w, v = np.linalg.eigh(g)
+        return (v * np.exp(-1j * angle * w)) @ v.conj().T
+    return expm(-1j * angle * g)
+
+
 def reference_apply_gate(state, spec):
     """K rho K^dag with K from the all-block generator, then renormalization
     and noise exactly as the catalog defines them."""
     build, angle, herm = _recipe(spec, state.n_particles)
     raw = build(all_block_ops(state.ledger))
-    gen = CollectiveOperator(state.ledger, raw.blocks, hermitian=herm)
-    kmats = exponentiate(gen, angle)
-    blocks = {j: kmats[j] @ rho @ kmats[j].conj().T for j, rho in state.items()}
+    blocks = {}
+    for j, rho in state.items():
+        k = dense_exponential(raw.block(j), angle, herm)
+        blocks[j] = k @ rho @ k.conj().T
     conditional = state.conditional
     if not herm:
         total = sum(np.trace(b).real for b in blocks.values())
@@ -181,6 +192,53 @@ def test_random_circuits_match_all_block_path(noise):
                 assert_moments_close(got)
     assert seen == set(CATALOG)
     assert ill <= checked // 4
+
+
+# one gate of each catalog kind; TAT takes a ladder axis, so it is conditional
+ONE_PER_KIND = (
+    GateSpec("RX", (0.7,)),
+    GateSpec("RY", (-1.3,)),
+    GateSpec("RZ", (2.1,)),
+    GateSpec("RN", (0.9, 2.1)),
+    GateSpec("R_PLUS", (0.4,)),
+    GateSpec("R_MINUS", (-0.3,)),
+    GateSpec("RX2", (0.4,)),
+    GateSpec("RY2", (-0.6,)),
+    GateSpec("RZ2", (1.1,)),
+    GateSpec("OAT", (0.3,), axes="x"),
+    GateSpec("TAT", (0.2,), axes="z,plus"),
+    GateSpec("TNT", (0.35, 2.5), axes="zx"),
+    GateSpec("GMS", (0.45, 0.8)),
+)
+
+
+@pytest.mark.parametrize("spec", ONE_PER_KIND, ids=lambda s: s.kind)
+def test_apply_gate_conjugates_by_exponentiate(spec):
+    # apply_gate and exponentiate share one kernel, so K rho K^dag with K from
+    # exponentiate (then the conditional renormalization) is apply_gate's
+    # state bit for bit.  A diagonal K = diag(p) is applied as rho * (p p^dag).
+    assert {s.kind for s in ONE_PER_KIND} == set(CATALOG)
+    state = random_mixed_state(np.random.default_rng(17), 7)
+    gen, angle = generator(spec, state.ledger, state.active_js)
+    kmats = exponentiate(gen, angle)
+    assert tuple(kmats) == state.active_js
+    want = {}
+    for j, rho in state.items():
+        k = kmats[j]
+        if gen.diagonal:
+            p = k.diagonal()
+            assert np.array_equal(k, np.diag(p))
+            want[j] = rho * np.outer(p, p.conj())
+        else:
+            want[j] = k @ rho @ k.conj().T
+    if not gen.hermitian:
+        total = sum(np.trace(b).real for b in want.values())
+        want = {j: b / total for j, b in want.items()}
+    got = apply_gate(state, spec)
+    assert got.active_js == state.active_js
+    assert got.conditional == (not gen.hermitian)
+    for j, rho in got.items():
+        assert np.array_equal(rho, want[j]), f"block j = {j} differs"
 
 
 def test_diagonal_gates_are_phases():

@@ -153,6 +153,13 @@ class TestVqa:
     def test_wrong_arity_exit_2(self, capsys):
         assert main(["vqa", "--n", "6", "--init", "0.1,0.2"]) == 2
 
+    def test_table1_zero_tnt_angle(self, capsys):
+        # t2 = 0 makes the TNT gate the identity under either coupling reading
+        assert main(["vqa", "--n", "10", "--tnt-coupling", "table1",
+                     "--init", "0.1,0.0,0.1", "--max-iter", "1"]) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == 2
+
 
 class TestQpt:
     def test_csv_shape(self, capsys):
@@ -207,6 +214,15 @@ class TestBench:
     def test_bad_points_exit_2(self, capsys, points):
         assert main(["bench", "--points", points]) == 2
         assert capsys.readouterr().err == "error: --points must be >= 1\n"
+
+    @pytest.mark.parametrize("flag", ["--layers", "--repeats"])
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_bad_counts_exit_2(self, capsys, flag, count):
+        argv = ["bench", "--n-min", "10", "--n-max", "12", "--points", "1", flag, count]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag[2:]} must be >= 1, got {count}\n"
 
 
 class TestUsage:

@@ -1,5 +1,7 @@
 """Block ledger, degeneracies, collective operators, and reference states."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from dickesim import (
     op_jy,
     op_jz,
 )
+from dickesim.dicke import css_amplitudes
 from tests.conftest import assert_valid_state
 
 
@@ -173,6 +176,15 @@ def test_css_mean_jz():
     for theta in (0.3, 1.1, 2.5):
         state = css_state(n, theta, 0.4)
         assert expval(state, "Jz") == pytest.approx(n / 2 * np.cos(theta), abs=1e-10)
+
+
+def test_css_large_n_pole_warns_nothing():
+    # at theta = 0 every amplitude but m = j is 0^k; none may overflow on the way
+    for phi in (0.0, 1.3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            amp = css_amplitudes(5000, 0.0, phi)
+        assert amp[0] == 1.0 and not amp[1:].any()
 
 
 def test_css_domain():

@@ -21,7 +21,6 @@ from dickesim import (
     exponentiate,
     generator,
     ground_state,
-    op_jz,
     probabilities,
 )
 from dickesim.oracle import extract_collective, full_run
@@ -57,7 +56,7 @@ def test_spec_validation():
 def test_rz_diagonal():
     n = 4
     led = build_ledger(n)
-    u = exponentiate(op_jz(led), 0.7)
+    u = exponentiate(*generator(GateSpec("RZ", (0.7,)), led))
     m = np.arange(2.0, -2.0 - 1, -1.0)
     assert np.allclose(np.diag(u[2.0]), np.exp(-1j * 0.7 * m))
 

@@ -40,6 +40,13 @@ class TestTntCouplingValue:
     def test_zero_theta_degenerates_to_identity_gate(self):
         assert tnt_coupling_value(10, 0.0, 0.5, "appendix-omega") == 1.0
 
+    def test_zero_theta_under_table1(self):
+        # omega = t2 = 0 would be an out-of-domain Lambda under table1
+        assert tnt_coupling_value(10, 0.0, 0.0, "table1") == 1.0
+        assert tnt_coupling_value(10, 0.0, 2.5, "table1") == 1.0
+        theta = (0.1, 0.0, 0.1)
+        assert cost(theta, Ansatz(10, "table1")) == cost(theta, Ansatz(10, "appendix-omega"))
+
     def test_zero_omega_is_pure_twisting(self):
         assert tnt_coupling_value(10, 0.4, 0.0, "appendix-omega") == np.inf
 
