@@ -77,7 +77,12 @@ def _rows_csv(header: str, rows) -> str:
 
 def cmd_run(args) -> int:
     circuit = _load_circuit(args.circuit)
-    state = apply_circuit(circuit, ground_state(circuit.n_particles))
+    n = circuit.n_particles
+    if args.oracle and n > FULL_SPACE_CAP:
+        raise ResourceError(
+            f"--oracle supports N <= {FULL_SPACE_CAP}, circuit has N = {n}"
+        )
+    state = apply_circuit(circuit, ground_state(n))
     table = probabilities(state)
     prob_text = prob_table_csv(table)
     counts_text = None
@@ -92,11 +97,6 @@ def cmd_run(args) -> int:
         if counts_text is not None:
             sys.stdout.write("\n" + counts_text)
     if args.oracle:
-        n = circuit.n_particles
-        if n > FULL_SPACE_CAP:
-            raise ResourceError(
-                f"--oracle supports N <= {FULL_SPACE_CAP}, circuit has N = {n}"
-            )
         reference = extract_collective(full_run(circuit), n)
         mine = table.as_dict()
         dev = 0.0

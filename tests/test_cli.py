@@ -66,10 +66,17 @@ class TestRun:
         assert dev < 1e-8
 
     def test_oracle_cap(self, tmp_path, capsys):
+        # the cap is checked before the simulation: nothing is printed or written
         big = tmp_path / "big.json"
         big.write_text(json.dumps({"n": 40, "gates": [{"kind": "RX", "params": [0.1]}]}))
         assert main(["run", str(big), "--oracle"]) == 2
-        assert "error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
+        out = tmp_path / "p.csv"
+        assert main(["run", str(big), "--oracle", "--shots", "10", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert not (tmp_path / "p.csv.counts.csv").exists()
 
     def test_bad_json_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -306,3 +313,62 @@ class TestResources:
         monkeypatch.setattr(cli, "cmd_run", exhausted)
         assert main(["run", circuit_file]) == 2
         assert capsys.readouterr().err == "error: out of memory\n"
+
+
+# RN, GMS, OAT, TAT over x/y/z axes, R_PLUS and R_MINUS, each with noise.
+NOISY_LADDER_JSON = json.dumps({
+    "n": 5,
+    "gates": [
+        {"kind": "RN", "params": [0.8, 1.9], "noise": 0.05},
+        {"kind": "GMS", "params": [0.4, 0.3], "noise": 0.05},
+        {"kind": "OAT", "params": [0.6], "axes": "x", "noise": 0.05},
+        {"kind": "TAT", "params": [0.3], "axes": "zy", "noise": 0.05},
+        {"kind": "TAT", "params": [-0.5], "axes": "xy", "noise": 0.05},
+        {"kind": "R_PLUS", "params": [0.7], "noise": 0.05},
+        {"kind": "R_MINUS", "params": [-1.1], "noise": 0.05},
+    ],
+})
+
+NO_SCIPY_SCRIPT = """
+import sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import dickesim, dickesim.cli
+assert not scipy_modules(), ("import", scipy_modules())
+circuit, out = sys.argv[1], sys.argv[2]
+for argv in (
+    ["run", circuit, "--shots", "50", "--out", out + "/run.csv"],
+    ["husimi", circuit, "--theta-steps", "3", "--phi-steps", "3", "--out", out + "/q.csv"],
+    ["qpt", "--n", "6", "--steps", "3", "--out", out + "/qpt.csv"],
+    ["vqa", "--n", "6", "--optimizer", "qng", "--max-iter", "1", "--out", out + "/vqa.csv"],
+    ["squeeze", "--n", "6", "--gate", "tnt", "--steps", "2", "--out", out + "/sq.csv"],
+):
+    assert dickesim.cli.main(argv) == 0, argv
+    assert not scipy_modules(), (argv[0], scipy_modules())
+"""
+
+
+def test_workload_commands_load_no_scipy(tmp_path):
+    # SciPy costs about 0.35 s to import; only the 2^N oracle and the
+    # non-Hermitian twists (TAT/TNT with a plus or minus axis) load it.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import dickesim
+
+    circuit = tmp_path / "noisy.json"
+    circuit.write_text(NOISY_LADDER_JSON)
+    src = str(Path(dickesim.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(circuit), str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "run.csv.counts.csv").is_file()

@@ -215,3 +215,52 @@ def test_states_stay_in_top_block_without_noise(rng):
     circ = random_circuit(rng, 6)
     state = apply_circuit(circ, ground_state(6))
     assert state.active_js == (3.0,)
+
+
+# ------------------------------------------------- closed-form kernels
+
+@pytest.mark.parametrize("twoj", [1, 2, 8, 80, 300])
+def test_ladder_closed_form_matches_expm(twoj):
+    # J_+ is nilpotent: exp(-i theta J_+) is a finite series, exactly upper
+    # triangular, and R_MINUS's K is its transpose.  The largest relative
+    # difference to scipy's Pade expm measured over this grid was 4.5e-15.
+    from scipy.linalg import expm
+
+    from dickesim.dicke import spin_matrices
+
+    j = twoj / 2.0
+    led = build_ledger(twoj + 6)  # j is a block below the top one
+    for theta in (0.05, -0.05, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0):
+        plus = exponentiate(*generator(GateSpec("R_PLUS", (theta,)), led, (j,)))[j]
+        minus = exponentiate(*generator(GateSpec("R_MINUS", (theta,)), led, (j,)))[j]
+        want = expm(-1j * theta * spin_matrices(twoj)["plus"])
+        assert np.abs(plus - want).max() <= 1e-13 * np.abs(plus).max()
+        assert not np.tril(plus, -1).any()
+        assert np.array_equal(minus, plus.T)
+
+
+DIAGONAL_SPECS = (
+    GateSpec("RZ", (0.7,)),
+    GateSpec("RZ", (-2.3,)),
+    GateSpec("RZ2", (-1.3,)),
+    GateSpec("OAT", (0.4,), axes="z"),
+    GateSpec("TAT", (0.4,), axes="zz"),
+    GateSpec("TNT", (0.9, 2.5), axes="zz"),
+    GateSpec("TNT", (-0.35, -3.0), axes="zz"),
+)
+
+
+@pytest.mark.parametrize("spec", DIAGONAL_SPECS, ids=lambda s: s.kind + "".join(s.axes or ""))
+def test_diagonal_phases_from_m_equal_dense_diagonal(spec):
+    # The phases are formed from m alone (m, m^2, m^2 - m^2, m^2 - w m), with
+    # the float operations of the dense generator's diagonal: equal bit for bit.
+    from dickesim.gates import _block_diagonal, _propagator
+
+    for n in (199, 200):
+        led = build_ledger(n)
+        gen, angle = generator(spec, led)
+        assert gen.diagonal
+        for j in led.js:
+            dense = gen.block(j).diagonal()
+            assert np.array_equal(_block_diagonal(gen, j), dense)
+            assert np.array_equal(_propagator(gen, angle, j), np.exp(-1j * angle * dense))
