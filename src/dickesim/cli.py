@@ -229,6 +229,8 @@ def cmd_bench(args) -> int:
         raise DomainError("need 1 <= --n-min < --n-max")
     if args.points < 1:
         raise DomainError("--points must be >= 1")
+    if not 0.0 <= args.noise <= 1.0:
+        raise DomainError(f"--noise must lie in [0, 1], got {args.noise}")
     noise = args.noise if args.noise > 0 else None
     ns = sorted(set(np.geomspace(args.n_min, args.n_max, args.points).astype(int)))
     rows = [

@@ -15,7 +15,11 @@ Conventions used throughout:
   so the fully excited state sits at the top-left of the j = N/2 block and the
   ground state at the bottom-right;
 * block matrices are immutable (read-only numpy arrays); every operation
-  returns fresh objects, so values are safe to share across threads.
+  returns fresh objects, so values are safe to share across threads;
+* a block's spin operators are banded in m (J_z diagonal, J_+/J_- one step
+  off it) and are held as their diagonals (``Banded``, cached per 2j by
+  ``spin_bands``); ``spin_matrices`` and the all-block ``op_j*`` are their
+  dense forms, for reference.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ __all__ = [
     "op_jminus",
     "op_jx",
     "op_jy",
+    "Banded",
+    "spin_bands",
     "spin_matrices",
     "ground_state",
     "excited_state",
@@ -265,47 +271,87 @@ class CollectiveState:
     def trace(self) -> float:
         return float(sum(np.trace(m).real for m in self._blocks.values()))
 
-    def to_dense(self) -> np.ndarray:
-        """Full collective-dimension matrix, blocks on the diagonal."""
-        out = np.zeros((self.ledger.dim, self.ledger.dim), dtype=complex)
-        for idx, mat in self._blocks.items():
-            b = self.ledger.blocks[idx]
-            out[b.offset : b.offset + b.dim, b.offset : b.offset + b.dim] = mat
+
+@dataclass(frozen=True, eq=False)
+class Banded:
+    """A (2j+1)-square block operator held by its diagonals: offset k maps to
+    the vector v with v[r] = A[r, r + k], zero where r + k leaves the block.
+    +, -, scalar * and @ keep it banded, so a gate recipe run on
+    ``spin_bands(2j)`` builds G_j at O(2j) per diagonal.  The offsets are
+    structural: a diagonal that cancels to zero is kept.
+    """
+
+    diags: Mapping[int, np.ndarray]
+
+    @property
+    def offsets(self) -> frozenset[int]:
+        return frozenset(self.diags)
+
+    def __add__(self, other: "Banded") -> "Banded":
+        out = dict(self.diags)
+        for k, v in other.diags.items():
+            out[k] = out[k] + v if k in out else v
+        return Banded(out)
+
+    def __sub__(self, other: "Banded") -> "Banded":
+        return self + other * -1.0  # a + (-b) rounds as a - b
+
+    def __mul__(self, scalar: complex) -> "Banded":
+        return Banded({k: v * scalar for k, v in self.diags.items()})
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other: "Banded") -> "Banded":
+        # (AB)[r, r+a+b] = sum_a A[r, r+a] B[r+a, r+a+b], by ascending r + a
+        out: dict[int, np.ndarray] = {}
+        for a in sorted(self.diags):
+            u = self.diags[a]
+            lo, hi = max(0, -a), min(u.size, max(0, u.size - a))
+            for b, v in other.diags.items():
+                prod = np.zeros(u.size, dtype=np.result_type(u, v))
+                prod[lo:hi] = u[lo:hi] * v[lo + a : hi + a]
+                out[a + b] = out[a + b] + prod if a + b in out else prod
+        return Banded(out)
+
+    def dense(self) -> np.ndarray:
+        """The block as a fresh dense complex matrix."""
+        d = next(iter(self.diags.values())).size
+        out = np.zeros((d, d), dtype=complex)
+        flat = out.reshape(-1)
+        for k, v in self.diags.items():
+            n = d - abs(k)
+            if n > 0:  # row r of offset k sits at flat r (d + 1) + k
+                flat[max(k, -k * d) :: d + 1][:n] = v[max(0, -k) :][:n]
         return out
 
 
-def _ladder_elements(j: float) -> np.ndarray:
-    """sqrt((j-m)(j+m+1)) for the raising transitions m -> m+1, evaluated at
-    the source m = j-1, ..., -j (storage indices 1..2j)."""
-    m = j - np.arange(1, _twoj(j) + 1)
-    return np.sqrt((j - m) * (j + m + 1))
+@lru_cache(maxsize=1024)
+def spin_bands(twoj: int) -> Mapping[str, Banded]:
+    """Spin-j operators of one block as bands, keyed "x", "y", "z", "plus",
+    "minus"; J_+ raises m by one with sqrt((j - m)(j + m + 1)).
 
-
-@lru_cache(maxsize=64)
-def spin_matrices(twoj: int) -> Mapping[str, np.ndarray]:
-    """Dense spin-j matrices of one block, keyed "x", "y", "z", "plus", "minus".
-
-    They depend on 2j only, not on N, so they are cached per 2j and returned
-    read-only; J_- is the transpose view of J_+.  An entry holds 64 (2j+1)^2
-    bytes; 64 entries cover every block up to N = 126.
+    They depend on 2j only, so they are cached per 2j and read-only.  An
+    entry holds 72 (2j+1) bytes of arrays; 1024 cover every block to N = 2047.
     """
     j = twoj / 2.0
-    plus = np.zeros((twoj + 1, twoj + 1), dtype=complex)
-    plus[np.arange(twoj), np.arange(1, twoj + 1)] = _ladder_elements(j)
-    mats = {
-        "x": 0.5 * (plus + plus.T),
-        "y": -0.5j * (plus - plus.T),
-        "z": np.diag(j - np.arange(twoj + 1)).astype(complex),
-        "plus": plus,
-        "minus": plus.T,
-    }
-    for mat in mats.values():
-        mat.flags.writeable = False
-    return MappingProxyType(mats)
+    m = j - np.arange(twoj + 1)
+    up = np.zeros(twoj + 1)  # J_+[r, r+1], from the source m of row r + 1
+    up[:-1] = np.sqrt((j - m[1:]) * (j + m[1:] + 1))
+    low = np.roll(up, 1)  # J_-[r, r-1] = J_+[r-1, r]
+    ops = {"x": {1: 0.5 * up, -1: 0.5 * low}, "y": {1: -0.5j * up, -1: 0.5j * low},
+           "z": {0: m}, "plus": {1: up}, "minus": {-1: low}}
+    for v in [v for diags in ops.values() for v in diags.values()]:
+        v.flags.writeable = False
+    return MappingProxyType({a: Banded(MappingProxyType(d)) for a, d in ops.items()})
+
+
+def spin_matrices(twoj: int) -> dict[str, np.ndarray]:
+    """Dense spin-j matrices of one block, built afresh from ``spin_bands``."""
+    return {axis: band.dense() for axis, band in spin_bands(twoj).items()}
 
 
 def _collective(ledger: BlockLedger, axis: str, hermitian: bool) -> CollectiveOperator:
-    mats = tuple(_freeze(spin_matrices(b.dim - 1)[axis]) for b in ledger.blocks)
+    mats = tuple(_freeze(spin_bands(b.dim - 1)[axis].dense()) for b in ledger.blocks)
     return CollectiveOperator(ledger, mats, hermitian)
 
 

@@ -15,41 +15,45 @@ collective operators:
     TNT(t, L, ab)    G = J_a^2 - (N/L) J_b
     GMS(t, phi)      G = (J_x cos phi + J_y sin phi)^2
 
-``generator`` returns the recipe of G, and one per-block kernel,
-``_propagator``, turns it into K_j on the blocks a state occupies;
-``apply_gate`` and ``exponentiate`` both call it.  Generators diagonal in m
-(RZ, RZ2, and OAT/TAT/TNT whose axes are all z) give a phase vector p,
-K_j = diag(p), formed from the m labels alone, and their gates act on rho_j
-as the elementwise phase p p^dag.  Other Hermitian generators are built from
-the cached per-block spin matrices and exponentiated by per-block
-eigendecomposition.  Non-Hermitian generators (any gate touching J_+/J_-)
-give a non-unitary K: the conjugated state is renormalized to unit trace and
-flagged ``conditional`` (the map is not trace preserving).  R_PLUS and
-R_MINUS take the exact finite series of the nilpotent J_+ (R_MINUS's K is
-its transpose); only TAT/TNT with a plus or minus axis go through scipy's
-Pade scaling-and-squaring, which is imported on first use, so no other path
-loads SciPy.
+``generator`` returns the recipe of G.  Run on a block's spin bands
+(``dicke.spin_bands``), it builds G_j as its diagonals at O(2j) cost; every
+catalog G has band offsets in -2..2, fixed by the kind and axes.  One
+per-block kernel, ``_propagator``, picks K_j's form from those offsets, on
+the blocks a state occupies only; ``apply_gate`` and ``exponentiate`` both
+call it:
 
-A block generator depends on 2j and on every gate parameter except the angle
-(and, for TNT, on N/Lambda), so the kernel keeps the eigenpairs (w, V) of
-Hermitian, non-diagonal block generators in one byte-bounded LRU cache shared
-by every call.  A key is stored on its second request only, so gates whose
-azimuth is drawn afresh each time never fill it.  A hit skips the generator
-build and the eigh, and gives K_j = (V e^{-i t w}) V^dag bit for bit as a
-miss does.
+* {0} (RZ, RZ2, OAT/TAT/TNT with all-z axes): the phase vector p,
+  K_j = diag(p), applied to rho_j as the elementwise product with p p^dag;
+* {+1} (R_PLUS): the exact finite series of the nilpotent J_+; {-1}
+  (R_MINUS): the same series of its transpose, transposed back;
+* other Hermitian G: eigenpairs of the dense G_j;
+* other non-Hermitian G (TAT/TNT with a plus or minus axis): scipy's Pade
+  expm, imported on first use, so no other path loads SciPy.
+
+A non-Hermitian G gives a non-unitary K: the conjugated state is renormalized
+to unit trace and flagged ``conditional`` (the map is not trace preserving).
+
+G_j depends on 2j and on every gate parameter except the angle (and, for TNT,
+on N/Lambda), so the kernel keeps the eigenpairs (w, V) of Hermitian G_j in
+one byte-bounded LRU cache shared by every call.  A key is stored on its
+second request only, so gates whose azimuth is drawn afresh each time never
+fill it.  A hit skips the generator build and the eigh, and gives
+K_j = (V e^{-i t w}) V^dag bit for bit as a miss does.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .dicke import BlockLedger, CollectiveState, _ladder_elements, _twoj, spin_matrices
+from .dicke import Banded, BlockLedger, CollectiveState, _twoj, spin_bands
 from .errors import CircuitParseError, DomainError, NumericError
 
 __all__ = [
@@ -90,26 +94,10 @@ def _parse_axes(text: str) -> tuple[str, ...]:
     """Tokenize an axis tag: 'zx', 'z,plus', 'z+', 'plusminus' all work."""
     tokens: list[str] = []
     for part in text.lower().split(","):
-        part = part.strip()
-        i = 0
-        while i < len(part):
-            if part.startswith("plus", i):
-                tokens.append("plus")
-                i += 4
-            elif part.startswith("minus", i):
-                tokens.append("minus")
-                i += 5
-            elif part[i] in "xyz":
-                tokens.append(part[i])
-                i += 1
-            elif part[i] == "+":
-                tokens.append("plus")
-                i += 1
-            elif part[i] == "-":
-                tokens.append("minus")
-                i += 1
-            else:
-                raise DomainError(f"unknown axis tag {text!r}")
+        found = re.findall(r"plus|minus|[xyz+-]", part.strip())
+        if "".join(found) != part.strip():
+            raise DomainError(f"unknown axis tag {text!r}")
+        tokens += [{"+": "plus", "-": "minus"}.get(t, t) for t in found]
     return tuple(tokens)
 
 
@@ -130,6 +118,9 @@ class GateSpec:
         params = tuple(float(p) for p in self.params)
         if len(params) != n_params:
             raise DomainError(f"{kind} takes {n_params} parameter(s), got {len(params)}")
+        for i, p in enumerate(params):  # an infinite TNT coupling is N/Lambda = 0
+            if np.isnan(p) or (np.isinf(p) and (kind, i) != ("TNT", 1)):
+                raise DomainError(f"{kind} parameter {i + 1} must be finite, got {p}")
         axes = self.axes
         if isinstance(axes, str):
             axes = _parse_axes(axes)
@@ -213,50 +204,16 @@ def _recipe(spec: GateSpec, n_particles: int) -> tuple[Callable, float, bool]:
     raise DomainError(f"unknown gate kind {kind!r}")
 
 
-def _is_diagonal(spec: GateSpec) -> bool:
-    """True when the generator is diagonal in m: J_z, J_z^2, or twists whose
-    axes are all z (axes exist only for OAT, TAT and TNT)."""
-    return spec.kind in ("RZ", "RZ2") or (
-        spec.axes is not None and all(a == "z" for a in spec.axes)
-    )
-
-
-class _Diagonal:
-    """A diagonal matrix held as its diagonal vector.  +, -, scalar * and @
-    act elementwise, so a recipe's builder applied to {"z": _Diagonal(m)}
-    gives diag G_j directly (m, m^2, m^2 - m^2 or m^2 - w m), by the float
-    operations that form the diagonal of the dense product."""
-
-    __slots__ = ("d",)
-
-    def __init__(self, d: np.ndarray):
-        self.d = d
-
-    def __add__(self, other: "_Diagonal") -> "_Diagonal":
-        return _Diagonal(self.d + other.d)
-
-    def __sub__(self, other: "_Diagonal") -> "_Diagonal":
-        return _Diagonal(self.d - other.d)
-
-    def __matmul__(self, other: "_Diagonal") -> "_Diagonal":
-        return _Diagonal(self.d * other.d)
-
-    def __mul__(self, scalar: float) -> "_Diagonal":
-        return _Diagonal(self.d * scalar)
-
-    __rmul__ = __mul__
-
-
 # (-i)^k for k mod 4
 _MINUS_I_POWERS = (1.0, -1j, -1.0, 1j)
 
 
-def _ladder_exponential(twoj: int, angle: float) -> np.ndarray:
-    """exp(-i angle J_+) on block 2j as its finite series.  J_+ is nilpotent,
-    so K[r, r+k] = (-i angle)^k / k! * lad[r] ... lad[r+k-1] exactly, with
-    lad the superdiagonal of J_+, and K is zero below the diagonal."""
-    d = twoj + 1
-    lad = _ladder_elements(twoj / 2.0)
+def _ladder_exponential(lad: np.ndarray, angle: float) -> np.ndarray:
+    """exp(-i angle A) for A with the superdiagonal ``lad`` and no other
+    entries, as its finite series: A is nilpotent, so K[r, r+k] =
+    (-i angle)^k / k! * lad[r] ... lad[r+k-1] exactly, and K is zero below
+    the diagonal."""
+    d = lad.size + 1
     k_mat = np.zeros((d, d), dtype=complex)
     flat = k_mat.reshape(-1)
     flat[:: d + 1] = 1.0
@@ -352,23 +309,28 @@ def _gate_key(spec: GateSpec, n_particles: int) -> tuple:
     return spec.kind, spec.axes, tuple(p.hex() for p in params)
 
 
+@lru_cache(maxsize=None)
+def _band_offsets(kind: str, axes: tuple[str, ...] | None) -> frozenset[int]:
+    """A generator's band offsets, fixed by kind and axes: read off a 1x1 block."""
+    unit = GateSpec(kind, (1.0,) * GATE_KINDS[kind][0], axes)
+    return _recipe(unit, 1)[0](spin_bands(0)).offsets
+
+
 @dataclass(frozen=True, eq=False)
 class BlockGenerator:
-    """A generator G kept as its recipe, not as matrices: ``block(j)`` builds
-    G_j when it is asked for.  ``ladder`` is "plus" or "minus" when G is
-    J_+ or J_- (R_PLUS, R_MINUS), else None.  ``key`` is everything G_j
-    depends on besides 2j (see ``_gate_key``); ``js`` are the blocks it was
-    made for."""
+    """A generator G kept as its recipe: ``bands(j)`` builds G_j as bands.
+    ``offsets`` are G's band offsets, the same on every block; ``key`` is
+    everything G_j depends on besides 2j (see ``_gate_key``); ``js`` are the
+    blocks it was made for."""
 
     build: Callable
     hermitian: bool
-    diagonal: bool
-    ladder: str | None
+    offsets: frozenset[int]
     key: tuple
     js: tuple[float, ...]
 
-    def block(self, j: float) -> np.ndarray:
-        return self.build(spin_matrices(_twoj(j)))
+    def bands(self, j: float) -> Banded:
+        return self.build(spin_bands(_twoj(j)))
 
 
 def generator(
@@ -381,42 +343,37 @@ def generator(
         js = ledger.js
     for j in js:
         ledger.block_index(j)
-    ladder = {"R_PLUS": "plus", "R_MINUS": "minus"}.get(spec.kind)
+    offsets = _band_offsets(spec.kind, spec.axes)
     key = _gate_key(spec, ledger.n_particles)
-    return BlockGenerator(build, herm, _is_diagonal(spec), ladder, key, tuple(js)), angle
-
-
-def _block_diagonal(gen: BlockGenerator, j: float) -> np.ndarray:
-    """diag G_j of a generator diagonal in m, built from the m labels alone."""
-    return gen.build({"z": _Diagonal(j - np.arange(_twoj(j) + 1))}).d
+    return BlockGenerator(build, herm, offsets, key, tuple(js)), angle
 
 
 def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
-    """K_j = exp(-i angle G_j), the one per-block kernel.
-
-    A generator diagonal in m gives the phase vector p, K_j = diag(p), from
-    m alone.  J_+ and J_- give their exact finite series.  A Hermitian one
-    gives (V e^{-i angle w}) V^dag from its eigenpairs, taken from the cache
-    when they are there; any other goes through scipy's expm, imported on
-    first use so that no other path loads SciPy.
-    """
-    if gen.diagonal:
-        return np.exp(-1j * angle * _block_diagonal(gen, j))
-    if gen.ladder is not None:
-        k = _ladder_exponential(_twoj(j), angle)
-        return k if gen.ladder == "plus" else k.T
+    """K_j = exp(-i angle G_j), the one per-block kernel: the phase vector p
+    of K_j = diag(p), or the matrix K_j, in the form G's band offsets select
+    (see the module docstring)."""
+    if gen.offsets == {0}:
+        return np.exp(-1j * angle * gen.bands(j).diags[0])
+    if gen.offsets == {1}:
+        return _ladder_exponential(gen.bands(j).diags[1][:-1], angle)
+    if gen.offsets == {-1}:
+        return _ladder_exponential(gen.bands(j).diags[-1][1:], angle).T
     if not gen.hermitian:
         from scipy.linalg import expm
 
-        return expm(-1j * angle * gen.block(j))
+        return expm(-1j * angle * gen.bands(j).dense())
     key = (_twoj(j),) + gen.key
     pair, admit = _EIGENPAIRS.lookup(key)
     if pair is None:
-        pair = _eigh(gen.block(j), j)
+        pair = _eigh(gen.bands(j).dense(), j)
         if admit:
             _EIGENPAIRS.store(key, *pair)
     w, v = pair
-    return (v * np.exp(-1j * angle * w)) @ v.conj().T
+    # (V e^{-i t w}) V^dag as conj(conj(V e^{-i t w}) V^T), conjugated in
+    # place: the same bits, with two (2j+1)^2 temporaries fewer
+    k = v * np.exp(-1j * angle * w)
+    k = np.conjugate(k, out=k) @ v.T
+    return np.conjugate(k, out=k)
 
 
 def exponentiate(
@@ -424,32 +381,28 @@ def exponentiate(
 ) -> dict[float, np.ndarray]:
     """Per-block matrices exp(-i * angle * G_j) on blocks ``js`` (the
     generator's blocks if None), from the kernel ``apply_gate`` uses."""
-    if js is None:
-        js = operator.js
-    ks = {j: _propagator(operator, angle, j) for j in js}
-    if operator.diagonal:
-        return {j: np.diag(p) for j, p in ks.items()}
-    return ks
+    ks = {j: _propagator(operator, angle, j) for j in (operator.js if js is None else js)}
+    return {j: np.diag(k) if k.ndim == 1 else k for j, k in ks.items()}
 
 
 def apply_gate(state: CollectiveState, spec: GateSpec) -> CollectiveState:
     """rho -> K rho K^dag per active block, then the optional noise channel.
 
     Each active block is handled on its own: its K_j is formed by
-    ``_propagator``, applied and dropped.  A diagonal K = diag(p) acts as the
+    ``_propagator``, applied and dropped; a phase vector p acts as the
     elementwise product rho * (p p^dag).  Unitary gates leave the active
-    block set unchanged; a noise step may activate neighboring blocks.
-    Non-Hermitian generators give a non-unitary K, so the result is
-    renormalized to unit trace and flagged conditional.
+    block set unchanged; a noise step may activate neighboring blocks.  A
+    non-unitary K's result is renormalized and flagged conditional.
     """
     gen, angle = generator(spec, state.ledger, state.active_js)
     blocks = {}
     for j, rho in state.items():
         k = _propagator(gen, angle, j)
-        if gen.diagonal:
+        if k.ndim == 1:
             blocks[j] = rho * np.outer(k, k.conj())
         else:
-            blocks[j] = k @ rho @ k.conj().T
+            t = k @ rho
+            blocks[j] = t @ np.conjugate(k, out=k).T  # k is this call's own array
     conditional = state.conditional
     if not gen.hermitian:
         total = sum(np.trace(b).real for b in blocks.values())

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import CollectiveState, _ladder_elements, css_amplitudes
+from .dicke import CollectiveState, css_amplitudes, spin_bands
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -127,9 +127,9 @@ def moments(state: CollectiveState) -> tuple[np.ndarray, np.ndarray]:
     """
     first = np.zeros(3, dtype=complex)   # <J_+>, <J_->, <J_z>
     second = np.zeros((3, 3), dtype=complex)
-    for j, rho in state.items():
-        m = j - np.arange(rho.shape[0])
-        lad = _ladder_elements(j)
+    for _, rho in state.items():
+        bands = spin_bands(rho.shape[0] - 1)
+        m, lad = bands["z"].diags[0], bands["plus"].diags[1][:-1]
         lad2 = lad[:-1] * lad[1:]
         d0 = rho.diagonal()
         below, above = rho.diagonal(-1), rho.diagonal(1)
@@ -176,18 +176,17 @@ def husimi_grid(
     phis = np.atleast_1d(np.asarray(phi_points, dtype=float))
     if thetas.size == 0 or phis.size == 0:
         raise DomainError("husimi grid axes must be nonempty")
-    blocks = list(state.items())
+    blocks = [rho for _, rho in state.items()]
+    # Coherent amplitudes factorize: c_m = r_m(theta) e^{+i phi (j-m)}; every
+    # block's phases are rows of the largest block's.  The +i phase labels grid
+    # points by the Bloch direction: a spin along (theta0, phi0) peaks there.
+    phase = np.exp(1j * np.outer(np.arange(max(map(len, blocks), default=0)), phis))
 
     def row(theta: float) -> np.ndarray:
         q = np.zeros(phis.size)
-        for j, rho in blocks:
-            twoj = int(round(2 * j))
-            radial = css_amplitudes(twoj, theta, 0.0).real
-            k = np.arange(twoj + 1)  # j - m
-            # Coherent amplitudes factorize over phi: c_m = r_m(theta) e^{+i phi (j-m)}.
-            # The +i phase labels grid points by the physical Bloch direction, so a
-            # state whose mean spin points along (theta0, phi0) peaks at that cell.
-            v = radial[:, None] * np.exp(1j * np.outer(k, phis))
+        for rho in blocks:
+            radial = css_amplitudes(rho.shape[0] - 1, theta, 0.0).real
+            v = radial[:, None] * phase[: rho.shape[0]]
             q += np.einsum("ip,ip->p", v.conj(), rho @ v).real
         return q
 

@@ -8,6 +8,8 @@ active block conjugated by a dense exponential of its generator block (eigh or
 expm), and expectation values taken as dense traces sum_j tr(rho_j O_j).
 """
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -27,6 +29,7 @@ from dickesim import (
     get_xi_2_R,
     get_xi_2_S,
     ground_state,
+    husimi_grid,
     mean_spin_frame,
     op_jminus,
     op_jplus,
@@ -216,7 +219,8 @@ ONE_PER_KIND = (
 def test_apply_gate_conjugates_by_exponentiate(spec):
     # apply_gate and exponentiate share one kernel, so K rho K^dag with K from
     # exponentiate (then the conditional renormalization) is apply_gate's
-    # state bit for bit.  A diagonal K = diag(p) is applied as rho * (p p^dag).
+    # state bit for bit.  A generator with band offsets {0} gives a diagonal
+    # K = diag(p), applied as rho * (p p^dag).
     assert {s.kind for s in ONE_PER_KIND} == set(CATALOG)
     state = random_mixed_state(np.random.default_rng(17), 7)
     gen, angle = generator(spec, state.ledger, state.active_js)
@@ -225,7 +229,7 @@ def test_apply_gate_conjugates_by_exponentiate(spec):
     want = {}
     for j, rho in state.items():
         k = kmats[j]
-        if gen.diagonal:
+        if gen.offsets == {0}:
             p = k.diagonal()
             assert np.array_equal(k, np.diag(p))
             want[j] = rho * np.outer(p, p.conj())
@@ -239,6 +243,25 @@ def test_apply_gate_conjugates_by_exponentiate(spec):
     assert got.conditional == (not gen.hermitian)
     for j, rho in got.items():
         assert np.array_equal(rho, want[j]), f"block j = {j} differs"
+
+
+def test_engine_path_builds_no_dense_spin_matrix(monkeypatch):
+    # Generators are built from the per-2j bands; the dense spin matrices are
+    # only the reference form, so every kind, the channel, the moments and
+    # the Husimi grid run with them unavailable.
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense spin matrices were built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dickesim") and hasattr(module, "spin_matrices"):
+            monkeypatch.setattr(module, "spin_matrices", refuse)
+    state = random_mixed_state(np.random.default_rng(23), 9)
+    for spec in ONE_PER_KIND:
+        state = apply_gate(state, spec)
+    state = depolarize(state, 0.2)
+    for name in OBSERVABLES:
+        expval(state, name)
+    assert husimi_grid(state, np.linspace(0.0, np.pi, 3), np.linspace(0.0, 6.0, 4)).shape == (3, 4)
 
 
 def test_diagonal_gates_are_phases():

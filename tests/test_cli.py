@@ -90,6 +90,32 @@ class TestRun:
         assert main(["run", str(bad)]) == 3
         assert "gate #1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("gate", [
+        '{"kind": "RX", "params": [%s]}',
+        '{"kind": "RN", "params": [0.5, %s]}',
+        '{"kind": "TNT", "params": [%s, 2.0], "axes": "zx"}',
+    ])
+    def test_non_finite_param_exit_3(self, tmp_path, capsys, bad, gate):
+        # JSON readers accept NaN and Infinity; the gate rejects them
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 4, "gates": [{"kind": "RZ", "params": [0.1]}, %s]}' % (gate % bad))
+        out = tmp_path / "p.csv"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: gate #2: ") and "must be finite" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_nan_tnt_coupling_exit_3_infinite_runs(self, tmp_path, capsys):
+        # an infinite coupling is N/Lambda = 0, plain one-axis twisting
+        path = tmp_path / "tnt.json"
+        tnt = '{"n": 4, "gates": [{"kind": "TNT", "params": [0.3, %s], "axes": "zx"}]}'
+        path.write_text(tnt % "NaN")
+        assert main(["run", str(path)]) == 3
+        assert "gate #1: TNT parameter 2 must be finite" in capsys.readouterr().err
+        path.write_text(tnt % "Infinity")
+        assert main(["run", str(path)]) == 0
+
     def test_missing_file_exit_3(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 3
 
@@ -124,6 +150,17 @@ class TestSqueeze:
         ) == 0
         header, rows = parse_csv(capsys.readouterr().out)
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["--gate", "gms", "--phi", "nan"],
+        ["--gate", "gms", "--phi", "inf"],
+        ["--theta-max", "nan"],
+        ["--gate", "tnt", "--coupling", "nan"],
+    ])
+    def test_non_finite_parameter_exit_2(self, capsys, argv):
+        assert main(["squeeze", "--n", "4", "--steps", "2", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.err and captured.out == ""
 
     def test_bad_steps(self, capsys):
         assert main(["squeeze", "--n", "4", "--steps", "0"]) == 2
@@ -179,6 +216,12 @@ class TestQpt:
         # deep in the paramagnetic phase the sweep starts at the ground state
         assert float(rows[0][1]) == pytest.approx(-1.0, abs=0.05)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_lambda_exit_2(self, capsys, value):
+        assert main(["qpt", "--n", "4", "--steps", "3", f"--lambda={value}"]) == 2
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.err and captured.out == ""
+
     def test_step_domain(self, capsys):
         assert main(["qpt", "--n", "4", "--steps", "1"]) == 2
         assert main(["qpt", "--n", "4", "--r-min", "2", "--r-max", "-2"]) == 2
@@ -221,6 +264,14 @@ class TestBench:
     def test_bad_points_exit_2(self, capsys, points):
         assert main(["bench", "--points", points]) == 2
         assert capsys.readouterr().err == "error: --points must be >= 1\n"
+
+    @pytest.mark.parametrize("noise", ["-0.5", "1.5", "nan", "inf"])
+    def test_noise_outside_unit_interval_exit_2(self, capsys, noise):
+        argv = ["bench", "--n-min", "10", "--n-max", "12", "--points", "1", f"--noise={noise}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --noise must lie in [0, 1], got {float(noise)}\n"
 
     @pytest.mark.parametrize("flag", ["--layers", "--repeats"])
     @pytest.mark.parametrize("count", ["0", "-1"])

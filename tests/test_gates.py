@@ -1,11 +1,13 @@
 """Gate catalog semantics, JSON round-trips, and oracle agreement."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from dickesim import (
+    GATE_KINDS,
     Circuit,
     CircuitParseError,
     DomainError,
@@ -24,7 +26,7 @@ from dickesim import (
     probabilities,
 )
 from dickesim.oracle import extract_collective, full_run
-from tests.conftest import assert_valid_state, random_circuit
+from tests.conftest import AXES_ALL, AXES_SINGLE, assert_valid_state, random_circuit
 
 
 # ------------------------------------------------------------ GateSpec
@@ -52,6 +54,29 @@ def test_spec_validation():
 
 
 # ------------------------------------------------------- small semantics
+
+@pytest.mark.parametrize("kind", sorted(GATE_KINDS))
+def test_non_finite_parameters_rejected(kind):
+    # NaN never; infinity only as the TNT coupling, where N/Lambda = 0
+    n_params, arity = GATE_KINDS[kind]
+    axes = ("z", "x")[:arity] or None
+    for i in range(n_params):
+        for bad in (np.nan, np.inf, -np.inf):
+            params = [0.5] * n_params
+            params[i] = bad
+            if (kind, i) == ("TNT", 1) and np.isinf(bad):
+                assert GateSpec(kind, tuple(params), axes=axes).params[1] == bad
+            else:
+                with pytest.raises(DomainError, match=f"parameter {i + 1} must be finite"):
+                    GateSpec(kind, tuple(params), axes=axes)
+
+
+def test_infinite_tnt_coupling_is_one_axis_twisting():
+    state = css_state(6, np.pi / 2, 0.0)
+    tnt = apply_gate(state, GateSpec("TNT", (0.3, np.inf), axes="zx"))
+    oat = apply_gate(state, GateSpec("OAT", (0.3,), axes="z"))
+    assert np.allclose(tnt.block(3.0), oat.block(3.0), atol=1e-12)
+
 
 def test_rz_diagonal():
     n = 4
@@ -252,15 +277,50 @@ DIAGONAL_SPECS = (
 
 @pytest.mark.parametrize("spec", DIAGONAL_SPECS, ids=lambda s: s.kind + "".join(s.axes or ""))
 def test_diagonal_phases_from_m_equal_dense_diagonal(spec):
-    # The phases are formed from m alone (m, m^2, m^2 - m^2, m^2 - w m), with
-    # the float operations of the dense generator's diagonal: equal bit for bit.
-    from dickesim.gates import _block_diagonal, _propagator
+    # A generator with band offsets {0} is its main diagonal (m, m^2, m^2 - m^2,
+    # m^2 - w m), formed by the float operations of the dense generator's
+    # diagonal: equal bit for bit, and so are the phases.
+    from dickesim.dicke import spin_matrices
+    from dickesim.gates import _propagator
 
     for n in (199, 200):
         led = build_ledger(n)
         gen, angle = generator(spec, led)
-        assert gen.diagonal
+        assert gen.offsets == {0}
         for j in led.js:
-            dense = gen.block(j).diagonal()
-            assert np.array_equal(_block_diagonal(gen, j), dense)
+            dense = gen.build(spin_matrices(int(2 * j))).diagonal()
+            assert np.array_equal(gen.bands(j).diags[0], dense)
             assert np.array_equal(_propagator(gen, angle, j), np.exp(-1j * angle * dense))
+
+
+# ------------------------------------------------- band-built generators
+
+def every_spec():
+    """One spec per kind and axis choice, plus/minus axes included."""
+    for kind, (n_params, arity) in GATE_KINDS.items():
+        params = (0.7, 2.5)[:n_params]
+        for axes in itertools.product(*[AXES_SINGLE if kind == "OAT" else AXES_ALL] * arity):
+            yield GateSpec(kind, params, axes=axes or None)
+
+
+# blocks whose bands give the dense build bit for bit; the others sum two
+# products per entry, which a BLAS product may fuse (one rounding less)
+BAND_BITWISE = {"RX", "RY", "RZ", "RN", "R_PLUS", "R_MINUS", "RZ2", "OATz", "TATxy",
+                "TATzplus", "TNTzx"}
+
+
+@pytest.mark.parametrize("spec", list(every_spec()), ids=lambda s: s.kind + "".join(s.axes or ""))
+def test_band_built_blocks_equal_dense_build(spec):
+    from dickesim.dicke import spin_matrices
+
+    exact = spec.kind + "".join(spec.axes or "") in BAND_BITWISE
+    for twoj in (*range(12), 40, 99, 100, 199, 200):
+        j = twoj / 2.0
+        gen, _ = generator(spec, build_ledger(twoj + 2), (j,))
+        bands = gen.bands(j)
+        assert bands.offsets == gen.offsets and gen.offsets <= set(range(-2, 3))
+        got, want = bands.dense(), gen.build(spin_matrices(twoj))
+        if exact:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 4e-16 * np.abs(want).max()
