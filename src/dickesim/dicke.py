@@ -5,9 +5,10 @@ symmetric) processes decomposes into irreducible blocks labelled by the total
 angular momentum j, with j running from N/2 down to 0 (even N) or 1/2 (odd N)
 in unit steps.  Each block is a (2j+1)-dimensional spin-j space appearing with
 multiplicity d_N^j; the multiplicity copies are never told apart by collective
-dynamics, so they are folded into effective amplitudes and only the counts are
-stored.  A state is then a block-diagonal density matrix rho = (+)_j rho_j of
-total side (N+2)^2/4 (even N) or (N+3)(N+1)/4 (odd N) instead of 2^N.
+dynamics, so they are folded into effective amplitudes and the counts are not
+stored (``degeneracy`` computes one on demand).  A state is then a
+block-diagonal density matrix rho = (+)_j rho_j of total side (N+2)^2/4
+(even N) or (N+3)(N+1)/4 (odd N) instead of 2^N.
 
 Conventions used throughout:
 
@@ -90,12 +91,11 @@ def degeneracy(n_particles: int, j: float) -> int:
 
 @dataclass(frozen=True)
 class Block:
-    """One spin-j block: side 2j+1, multiplicity d_N^j, offset in the
-    concatenated block-diagonal ordering."""
+    """One spin-j block: side 2j+1 and offset in the concatenated
+    block-diagonal ordering."""
 
     j: float
     dim: int
-    degeneracy: int
     offset: int
 
 
@@ -154,7 +154,7 @@ def build_ledger(n_particles: int) -> BlockLedger:
     for twoj in range(n, n % 2 - 1, -2):
         j = twoj / 2.0
         dim = twoj + 1
-        blocks.append(Block(j=j, dim=dim, degeneracy=degeneracy(n, j), offset=offset))
+        blocks.append(Block(j=j, dim=dim, offset=offset))
         offset += dim
     return BlockLedger(n_particles=n, blocks=tuple(blocks))
 

@@ -1,5 +1,7 @@
 """Variational squeezing loop: cost = xi^2_S of a fixed three-parameter
-ansatz, finite-difference gradients, and GD / Adam / QNG optimizers.
+ansatz, finite-difference gradients, and GD / Adam / QNG optimizers.  QNG
+reads the ansatz's ket straight off its rank-1 density block; the only
+eigendecomposition it adds is the one of its small metric.
 
 The ansatz prepares the equatorial coherent state with RN(pi/2, 0) and then
 applies OAT(t1, z), TNT(t2, zx), TAT(t3, zy).  Two readings of the TNT
@@ -171,8 +173,9 @@ def adam_step(
 
 
 def _ansatz_vector(ansatz: Ansatz, theta: np.ndarray) -> np.ndarray:
-    """Pure-state vector of the (noiseless) ansatz: dominant eigenvector of
-    the rank-1 top block, with an arbitrary-but-fixed global phase."""
+    """Pure-state vector of the (noiseless) ansatz, read off its rank-1 top
+    block rho = psi psi^dagger: column p over sqrt(rho_pp), with p the largest
+    diagonal entry, so psi_p is real and positive."""
     circuit = ansatz.build(theta)
     if any(spec.noise for spec in circuit.instructions):
         raise UnsupportedConfigError("QNG metric needs a noiseless (pure) ansatz")
@@ -180,14 +183,14 @@ def _ansatz_vector(ansatz: Ansatz, theta: np.ndarray) -> np.ndarray:
     js = state.active_js
     if len(js) != 1:
         raise UnsupportedConfigError("QNG metric needs a single-block pure state")
-    evals, evecs = np.linalg.eigh(state.block(js[0]))
-    if evals[-1] < 1.0 - 1e-8:
+    rho = state.block(js[0])
+    purity = np.vdot(rho, rho).real  # tr rho^2 of a Hermitian block
+    if purity < 1.0 - 1e-8:
         raise UnsupportedConfigError(
-            f"state is mixed (largest eigenvalue {evals[-1]:.6f}); QNG unsupported"
+            f"state is mixed (purity {purity:.6f}); QNG unsupported"
         )
-    vec = evecs[:, -1]
-    pivot = np.argmax(np.abs(vec))
-    return vec * np.exp(-1j * np.angle(vec[pivot]))
+    p = int(np.argmax(rho.diagonal().real))
+    return rho[:, p] / np.sqrt(rho[p, p].real)
 
 
 def _align(vec: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -224,17 +227,19 @@ def fubini_study_metric(theta: np.ndarray, ansatz: Ansatz, eps_fd: float) -> np.
 
 
 def qng_step(
-    theta: np.ndarray,
-    grad: np.ndarray,
-    g: np.ndarray,
-    eta: float,
-    pinv_threshold: float = 1e-10,
+    theta: np.ndarray, grad: np.ndarray, g: np.ndarray, eta: float
 ) -> np.ndarray:
-    """theta - eta * pinv(g) @ grad, pseudo-inverse by eigendecomposition with
-    eigenvalues below the threshold discarded."""
+    """theta - eta * pinv(g) @ grad, pseudo-inverse by one eigendecomposition.
+
+    Eigenvalues <= 1e-3 x the largest are discarded.  The Fubini-Study metric
+    of the twisting ansatz spans ~8 decades, and a near-flat direction kept in
+    the inverse catapults theta out of the basin; a cutoff relative to the
+    spectrum stays scale-free across N, where a fixed absolute one that works
+    at N = 100 would zero the whole step at small N.
+    """
     evals, evecs = np.linalg.eigh(0.5 * (g + g.T))
     inv = np.zeros_like(evals)
-    keep = evals > pinv_threshold
+    keep = evals > 1e-3 * evals[-1]
     inv[keep] = 1.0 / evals[keep]
     g_pinv = (evecs * inv) @ evecs.conj().T
     return np.asarray(theta) - eta * (g_pinv @ np.asarray(grad))
@@ -242,34 +247,31 @@ def qng_step(
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """The five settings of a fit; Adam's moments take ``adam_step``'s
+    defaults and QNG's pseudo-inverse cutoff is ``qng_step``'s."""
+
     kind: str  # "gd" | "adam" | "qng"
     learning_rate: float
     max_iter: int = 200
     tolerance: float = 1e-19
-    beta1: float = 0.8
-    beta2: float = 0.999
-    eps_adam: float = 1e-10
     # 1e-3, not the roundoff-optimal ~1e-5: at large N the cost oscillates on
     # a Delta-theta scale comparable to 1/N and a too-small step chases those
     # wiggles; 1e-3 averages over them and is what lets plain GD descend.
     eps_fd: float = 1e-3
-    # None scales the metric pseudo-inverse cutoff with the spectrum
-    # (1e-3 * largest eigenvalue, recomputed each iteration).  A metric of
-    # twisting generators spans ~8 decades, and a near-flat direction kept in
-    # the inverse catapults theta out of the basin; a fixed absolute cutoff
-    # that avoids that at N=100 would zero the whole step at small N.
-    # An explicit float is passed through to qng_step as-is.
-    pinv_threshold: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("gd", "adam", "qng"):
             raise DomainError(f"unknown optimizer kind {self.kind!r}")
-        if self.learning_rate <= 0:
-            raise DomainError("learning rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise DomainError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
         if self.max_iter < 1:
             raise DomainError("max_iter must be >= 1")
-        if self.eps_fd <= 0:
-            raise DomainError("eps_fd must be > 0")
+        if not self.tolerance >= 0:
+            raise DomainError(f"tolerance must be >= 0, got {self.tolerance}")
+        if not 0 < self.eps_fd < np.inf:
+            raise DomainError(f"eps_fd must be finite and > 0, got {self.eps_fd}")
 
 
 @dataclass
@@ -290,6 +292,8 @@ def fit(
     """Iterate the configured optimizer from ``initial`` (or a seeded random
     start in [-0.1, 0.1)) until |delta cost| < tolerance or max_iter.
 
+    A non-finite ``initial`` raises DomainError before any cost is evaluated.
+
     A cost failure mid-run (degenerate frame) stops the loop and returns the
     partial history with converged=False.
     """
@@ -301,6 +305,10 @@ def fit(
         if theta.shape != (ansatz.n_params,):
             raise DomainError(
                 f"need {ansatz.n_params} parameters, got shape {theta.shape}"
+            )
+        if not np.isfinite(theta).all():
+            raise DomainError(
+                f"initial parameters must be finite, got {theta.tolist()}"
             )
 
     def fn(t: np.ndarray) -> float:
@@ -318,22 +326,10 @@ def fit(
             if config.kind == "gd":
                 theta = gd_step(theta, grad, config.learning_rate)
             elif config.kind == "adam":
-                theta, adam = adam_step(
-                    adam,
-                    theta,
-                    grad,
-                    eta=config.learning_rate,
-                    beta1=config.beta1,
-                    beta2=config.beta2,
-                    eps=config.eps_adam,
-                )
+                theta, adam = adam_step(adam, theta, grad, eta=config.learning_rate)
             else:
                 g = fubini_study_metric(theta, ansatz, config.eps_fd)
-                if config.pinv_threshold is None:
-                    cutoff = 1e-3 * float(np.linalg.eigvalsh(g)[-1])
-                else:
-                    cutoff = config.pinv_threshold
-                theta = qng_step(theta, grad, g, config.learning_rate, cutoff)
+                theta = qng_step(theta, grad, g, config.learning_rate)
             value = fn(theta)
         except NumericError:
             break

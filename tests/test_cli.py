@@ -197,6 +197,33 @@ class TestVqa:
     def test_wrong_arity_exit_2(self, capsys):
         assert main(["vqa", "--n", "6", "--init", "0.1,0.2"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--lr", "nan", "learning_rate"),
+            ("--lr", "inf", "learning_rate"),
+            ("--eps-fd", "nan", "eps_fd"),
+            ("--eps-fd", "inf", "eps_fd"),
+            ("--tol", "nan", "tolerance"),
+            ("--tol", "-1", "tolerance"),
+            ("--init", "nan,0,0", "initial"),
+        ],
+    )
+    def test_non_finite_setting_exit_2(self, flag, value, field, tmp_path,
+                                       capsys, monkeypatch):
+        # rejected before any cost is evaluated, and nothing is written
+        from dickesim import vqa
+
+        def no_cost(theta, ansatz):
+            raise AssertionError("cost evaluated")
+
+        monkeypatch.setattr(vqa, "cost", no_cost)
+        out = tmp_path / "vqa.csv"
+        argv = ["vqa", "--n", "6", "--max-iter", "1", "--out", str(out)]
+        assert main(argv + [f"{flag}={value}"]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_table1_zero_tnt_angle(self, capsys):
         # t2 = 0 makes the TNT gate the identity under either coupling reading
         assert main(["vqa", "--n", "10", "--tnt-coupling", "table1",

@@ -62,6 +62,20 @@ def test_degeneracy_rejects_bad_j():
         degeneracy(4, 3)
 
 
+def test_ledger_does_not_compute_degeneracies(monkeypatch):
+    # the multiplicities are exact big-integer factorials; building the
+    # ledger must not pay for them.  __wrapped__ skips the ledger cache.
+    import dickesim.dicke
+
+    def refuse(n_particles, j):
+        raise AssertionError("degeneracy computed")
+
+    monkeypatch.setattr(dickesim.dicke, "degeneracy", refuse)
+    led = build_ledger.__wrapped__(4001)
+    assert led.js[0] == 2000.5 and led.j_min == 0.5
+    assert led.dim == collective_dimension(4001)
+
+
 @pytest.mark.parametrize("n", range(1, 65))
 def test_completeness(n):
     # sum over blocks of (2j+1) * multiplicity recovers the full 2^N space

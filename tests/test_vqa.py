@@ -148,6 +148,14 @@ class TestSteps:
         stepped = qng_step(np.zeros(2), np.array([8.0, 8.0]), g, 1.0)
         np.testing.assert_allclose(stepped, [-2.0, 0.0], atol=1e-12)
 
+    def test_qng_cutoff_is_relative_to_largest_eigenvalue(self):
+        # eigenvalues <= 1e-3 x the largest are dropped, larger ones kept
+        grad = np.array([1.0, 1.0])
+        dropped = qng_step(np.zeros(2), grad, np.diag([1.0, 1e-3]), 1.0)
+        np.testing.assert_array_equal(dropped, [-1.0, 0.0])
+        kept = qng_step(np.zeros(2), grad, np.diag([1.0, 1.001e-3]), 1.0)
+        np.testing.assert_allclose(kept, [-1.0, -1.0 / 1.001e-3], rtol=1e-12)
+
 
 class TestMetric:
     def test_single_rotation_variance(self):
@@ -172,6 +180,51 @@ class TestMetric:
         g = fubini_study_metric(np.array([0.02, 0.08, 0.03]), a, 1e-4)
         np.testing.assert_allclose(g, g.T, atol=1e-8)
         assert np.linalg.eigvalsh(g).min() > -1e-8
+
+    @pytest.mark.parametrize("n", [12, 100])
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            (0.00195902, 0.14166777, 0.01656466),  # published start
+            (-0.06292, 0.07942, -0.02455),  # published optimum
+            (0.0374, -0.0912, 0.0581),  # a random point
+        ],
+        ids=["start", "optimum", "random"],
+    )
+    def test_ket_read_off_rho_matches_eigenvector(self, n, theta, monkeypatch):
+        # reference: recover the ket as the dominant eigenvector of the
+        # block, phase fixed on its largest entry
+        from dickesim import vqa
+        from dickesim.dicke import ground_state
+        from dickesim.gates import apply_circuit
+
+        def eigh_vector(ansatz, t):
+            state = apply_circuit(ansatz.build(t), ground_state(ansatz.n_particles))
+            (j,) = state.active_js
+            evals, evecs = np.linalg.eigh(state.block(j))
+            assert evals[-1] > 1.0 - 1e-8
+            vec = evecs[:, -1]
+            pivot = np.argmax(np.abs(vec))
+            return vec * np.exp(-1j * np.angle(vec[pivot]))
+
+        ansatz = Ansatz(n)
+        theta = np.array(theta)
+        g = fubini_study_metric(theta, ansatz, 1e-3)
+        with monkeypatch.context() as m:
+            m.setattr(vqa, "_ansatz_vector", eigh_vector)
+            reference = fubini_study_metric(theta, ansatz, 1e-3)
+        assert np.abs(g - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_mixed_state_rejected(self, monkeypatch):
+        # a noiseless circuit from the ground state stays pure, so feed the
+        # metric a maximally mixed single block directly
+        from dickesim import vqa
+        from dickesim.dicke import CollectiveState, build_ledger
+
+        mixed = CollectiveState(build_ledger(2), {1.0: np.eye(3) / 3.0})
+        monkeypatch.setattr(vqa, "apply_circuit", lambda circuit, state: mixed)
+        with pytest.raises(UnsupportedConfigError, match="mixed"):
+            fubini_study_metric(np.zeros(3), Ansatz(2), 1e-4)
 
     def test_noisy_ansatz_rejected(self):
         class NoisyAnsatz(Ansatz):
@@ -219,14 +272,6 @@ class TestFit:
         res = fit(Ansatz(10), cfg, [0.01, 0.01, 0.01])
         assert res.cost_history[-1] < res.cost_history[0]
 
-    def test_qng_explicit_threshold_is_absolute(self):
-        # a cutoff above every eigenvalue freezes theta entirely
-        cfg = OptimizerConfig(
-            kind="qng", learning_rate=0.03, max_iter=2, pinv_threshold=1e9
-        )
-        res = fit(Ansatz(8), cfg, [0.01, 0.01, 0.01])
-        np.testing.assert_array_equal(res.theta_star, [0.01, 0.01, 0.01])
-
     def test_tolerance_stops_early(self):
         cfg = OptimizerConfig(
             kind="gd", learning_rate=1e-12, max_iter=50, eps_fd=1e-3, tolerance=1e-6
@@ -239,6 +284,58 @@ class TestFit:
         cfg = OptimizerConfig(kind="gd", learning_rate=1e-3, max_iter=1)
         with pytest.raises(DomainError):
             fit(Ansatz(6), cfg, [0.1, 0.2])
+
+    def test_non_finite_initial_rejected_before_any_cost(self, monkeypatch):
+        from dickesim import vqa
+
+        def no_cost(theta, ansatz):
+            raise AssertionError("cost evaluated")
+
+        monkeypatch.setattr(vqa, "cost", no_cost)
+        cfg = OptimizerConfig(kind="qng", learning_rate=0.03, max_iter=1)
+        for bad in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]):
+            with pytest.raises(DomainError, match="initial"):
+                fit(Ansatz(6), cfg, bad)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", np.nan),
+            ("learning_rate", np.inf),
+            ("learning_rate", -np.inf),
+            ("eps_fd", np.nan),
+            ("eps_fd", np.inf),
+            ("tolerance", np.nan),
+            ("tolerance", -1.0),
+        ],
+    )
+    def test_config_rejects_non_finite(self, field, value):
+        kwargs = {"kind": "gd", "learning_rate": 0.1, field: value}
+        with pytest.raises(DomainError, match=field):
+            OptimizerConfig(**kwargs)
+
+    def test_config_fields_are_the_cli_settings(self, monkeypatch):
+        # every OptimizerConfig field is one that `dickesim vqa` sets
+        import dataclasses
+
+        from dickesim import cli
+
+        class Captured(Exception):
+            pass
+
+        seen = {}
+
+        def capture(**kwargs):
+            seen.update(kwargs)
+            raise Captured
+
+        monkeypatch.setattr(cli, "OptimizerConfig", capture)
+        with pytest.raises(Captured):
+            cli.main(["vqa", "--n", "4", "--max-iter", "1"])
+        fields = {f.name for f in dataclasses.fields(OptimizerConfig)}
+        assert fields == set(seen) == {
+            "kind", "learning_rate", "max_iter", "tolerance", "eps_fd"
+        }
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
