@@ -228,9 +228,11 @@ class CollectiveState:
     Only blocks that carry weight are stored; absent blocks are exactly zero.
     ``conditional`` marks states that went through a non-unitary ladder gate
     (R_plus / R_minus) and were renormalized, i.e. post-selected evolution.
+    The blocks are read-only, so ``_moments`` keeps the measurement layer's
+    moment pair once it has been read.
     """
 
-    __slots__ = ("ledger", "_blocks", "conditional")
+    __slots__ = ("ledger", "_blocks", "conditional", "_moments")
 
     def __init__(
         self,
@@ -251,6 +253,7 @@ class CollectiveState:
         self.ledger = ledger
         self._blocks = {idx: by_index[idx] for idx in sorted(by_index)}
         self.conditional = bool(conditional)
+        self._moments = None
 
     @property
     def n_particles(self) -> int:

@@ -4,6 +4,15 @@ and Husimi grids.
 First and second moments of J are read in closed form from the main, first
 and second diagonals of each active block (J_z is diagonal, J_+/J_- shift m by
 one), so no operator matrix is built and a moment costs O(2j+1) per block.
+A state's moments are computed once and kept with it.
+
+The Husimi grid uses that coherent amplitudes factorize into a radial part
+r_a(theta) and a phase e^{i a phi}: Q(theta, phi) = s_0 + 2 Re sum_{k>0}
+s_k(theta) e^{i k phi}, with s_k(theta) = sum_a r_a r_{a+k} rho_{a,a+k} the
+weighted sum over the k-th diagonal.  The diagonal sums cost O(n_theta d^2)
+per block of dimension d, and one phase product O(n_theta n_phi d_max) for
+the whole grid, instead of O(n_theta n_phi d^2) per block for v^dagger rho v
+at every point.
 """
 
 from __future__ import annotations
@@ -123,8 +132,15 @@ def moments(state: CollectiveState) -> tuple[np.ndarray, np.ndarray]:
     <J_y J_x> = i<J_z>).  With l_k = <m_k|J_+|m_k - 1> the superdiagonal of
     J_+ (storage index k, m_k = j - k), every <L_s L_t> for L in (J_+, J_-,
     J_z) is a weighted sum over one diagonal of rho_j; the x, y, z moments
-    follow by a 3x3 change of basis.
+    follow by a 3x3 change of basis.  The pair is computed once per state and
+    returned read-only.
     """
+    if state._moments is None:
+        state._moments = _compute_moments(state)
+    return state._moments
+
+
+def _compute_moments(state: CollectiveState) -> tuple[np.ndarray, np.ndarray]:
     first = np.zeros(3, dtype=complex)   # <J_+>, <J_->, <J_z>
     second = np.zeros((3, 3), dtype=complex)
     for _, rho in state.items():
@@ -140,7 +156,10 @@ def moments(state: CollectiveState) -> tuple[np.ndarray, np.ndarray]:
             (below @ (lad * m[:-1]), above @ (lad * m[1:]), d0 @ m**2),
         )
     t = _FROM_LADDER
-    return t @ first, t @ second @ t.T
+    pair = (t @ first, t @ second @ t.T)
+    for a in pair:
+        a.flags.writeable = False
+    return pair
 
 
 def expval(state: CollectiveState, observable: str) -> complex | float:
@@ -171,29 +190,40 @@ def husimi_grid(
 ) -> np.ndarray:
     """Q(theta, phi) = sum_j <theta,phi; j| rho_j |theta,phi; j> over active
     blocks, with |theta,phi; j> the spin-j coherent state.  Returns a grid of
-    shape (len(theta_points), len(phi_points)) with values in [0, 1]."""
+    shape (len(theta_points), len(phi_points)) with values in [0, 1].
+
+    Built from the diagonal sums of the module docstring (storage index
+    a = j - m): Q = Re sum_{k>=0} t_k(theta) e^{i k phi} with t_0 = s_0 and,
+    as s_{-k} = s_k^* for Hermitian rho, t_k = 2 s_k.  The t_k of all blocks
+    add up before one phase product over the grid.
+    """
     thetas = np.atleast_1d(np.asarray(theta_points, dtype=float))
     phis = np.atleast_1d(np.asarray(phi_points, dtype=float))
     if thetas.size == 0 or phis.size == 0:
         raise DomainError("husimi grid axes must be nonempty")
+    if not (np.isfinite(thetas).all() and np.isfinite(phis).all()):
+        raise DomainError("husimi grid axes must be finite")
     blocks = [rho for _, rho in state.items()]
-    # Coherent amplitudes factorize: c_m = r_m(theta) e^{+i phi (j-m)}; every
-    # block's phases are rows of the largest block's.  The +i phase labels grid
-    # points by the Bloch direction: a spin along (theta0, phi0) peaks there.
-    phase = np.exp(1j * np.outer(np.arange(max(map(len, blocks), default=0)), phis))
-
-    def row(theta: float) -> np.ndarray:
-        q = np.zeros(phis.size)
-        for rho in blocks:
-            radial = css_amplitudes(rho.shape[0] - 1, theta, 0.0).real
-            v = radial[:, None] * phase[: rho.shape[0]]
-            q += np.einsum("ip,ip->p", v.conj(), rho @ v).real
-        return q
-
-    grid = np.array([row(theta) for theta in thetas])
-    if grid.min() < -1e-10:
+    width = max(map(len, blocks), default=1)
+    # t[:, k] as (real, imag) pairs: the k-th diagonal of rho + rho^dagger
+    # (the diagonal's real part at k = 0), weighted by r_a r_{a+k}.  Taking the
+    # Hermitian part keeps Q = Re v^dagger rho v for any input block.
+    t = np.zeros((thetas.size, width, 2))
+    for rho in blocks:
+        d = rho.shape[0]
+        radial = np.array([css_amplitudes(d - 1, theta, 0.0).real for theta in thetas])
+        t[:, 0, 0] += radial**2 @ rho.diagonal().real
+        for k in range(1, d):
+            band = rho.diagonal(k) + rho.diagonal(-k).conj()
+            t[:, k] += (radial[:, :-k] * radial[:, k:]) @ band.view(float).reshape(-1, 2)
+    # One phase matrix, the largest block's; the +i phase labels grid points by
+    # the Bloch direction: a spin along (theta0, phi0) peaks there.
+    phase = np.exp(1j * np.outer(np.arange(width), phis))
+    grid = t[:, :, 0] @ phase.real - t[:, :, 1] @ phase.imag
+    # written so that a NaN fails them
+    if not grid.min() >= -1e-10:
         raise NumericError(f"husimi value {grid.min()} below zero; state not PSD")
-    if grid.max() > 1.0 + 1e-10:
+    if not grid.max() <= 1.0 + 1e-10:
         raise NumericError(f"husimi value {grid.max()} above one; trace exceeds one")
     return np.clip(grid, 0.0, 1.0)
 
@@ -215,8 +245,10 @@ def shot_counts_csv(counts: ShotCounts) -> str:
 
 
 def husimi_csv(thetas: np.ndarray, phis: np.ndarray, grid: np.ndarray) -> str:
+    # each axis value is formatted once; per point only q is
+    phi_cols = [_fmt(phi) for phi in phis]
     lines = ["theta,phi,q"]
-    for it, theta in enumerate(thetas):
-        for ip, phi in enumerate(phis):
-            lines.append(f"{_fmt(theta)},{_fmt(phi)},{_fmt(grid[it, ip])}")
+    for theta, row in zip(thetas, grid.tolist()):
+        head = _fmt(theta)
+        lines += [f"{head},{phi},{_fmt(q)}" for phi, q in zip(phi_cols, row)]
     return "\n".join(lines) + "\n"

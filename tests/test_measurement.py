@@ -1,5 +1,6 @@
 """Probability tables, sampling, expectation values, Husimi grids, CSV."""
 
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from dickesim import (
     build_ledger,
     css_state,
     expval,
+    get_xi_2_R,
     ghz_state,
     ground_state,
     husimi_csv,
@@ -27,6 +29,37 @@ from dickesim import (
 )
 
 from conftest import random_circuit
+
+
+def random_mixed_state(rng, n):
+    """Random PSD matrices on every block of the ledger, total trace one."""
+    ledger = build_ledger(n)
+    blocks = {}
+    for b in ledger.blocks:
+        a = rng.normal(size=(b.dim, b.dim)) + 1j * rng.normal(size=(b.dim, b.dim))
+        blocks[b.j] = a @ a.conj().T
+    total = sum(np.trace(m).real for m in blocks.values())
+    return CollectiveState(ledger, {j: m / total for j, m in blocks.items()})
+
+
+def dense_husimi(state, thetas, phis):
+    """Q as v^dagger rho v per grid point, v the spin-j coherent state with
+    amplitudes sqrt(C(2j, a)) cos(theta/2)^(2j-a) (sin(theta/2) e^{i phi})^a
+    at storage index a = j - m."""
+    grid = np.zeros((len(thetas), len(phis)))
+    for _, rho in state.items():
+        twoj = rho.shape[0] - 1
+        binom = np.sqrt([math.comb(twoj, a) for a in range(twoj + 1)])
+        for it, theta in enumerate(thetas):
+            for ip, phi in enumerate(phis):
+                v = np.array([
+                    binom[a]
+                    * np.cos(theta / 2) ** (twoj - a)
+                    * (np.sin(theta / 2) * np.exp(1j * phi)) ** a
+                    for a in range(twoj + 1)
+                ])
+                grid[it, ip] += (v.conj() @ rho @ v).real
+    return grid
 
 
 class TestProbabilities:
@@ -127,6 +160,24 @@ class TestExpval:
         with pytest.raises(NumericError, match="imaginary residue"):
             expval(state, "Jz")
 
+    def test_one_moments_pass_per_state(self, monkeypatch):
+        # a moments pass walks the state's blocks once; later reads reuse it
+        passes = []
+        items = CollectiveState.items
+
+        def counted(self):
+            passes.append(self)
+            return items(self)
+
+        monkeypatch.setattr(CollectiveState, "items", counted)
+        state = css_state(10, 0.7, 1.9)
+        values = [expval(state, name) for name in ("Jz", "Jx2", "Jy2")]
+        assert len(passes) == 1
+        assert values[0] == pytest.approx(5 * np.cos(0.7))
+        other = css_state(10, 0.7, 1.9)
+        assert get_xi_2_R(other) == pytest.approx(1.0)
+        assert passes == [state, other]
+
     def test_imaginary_residue_raises_under_optimize_flag(self):
         # python -O strips assert statements; the check must survive it
         code = (
@@ -196,9 +247,57 @@ class TestHusimi:
         with pytest.raises(NumericError, match="above one"):
             husimi_grid(doubled, np.linspace(0, np.pi, 9), np.array([0.0]))
 
+    def test_non_psd_state_raises(self):
+        # trace one but a negative population: Q at the south pole is -0.5
+        state = CollectiveState(build_ledger(1), {0.5: np.diag([1.5, -0.5])})
+        with pytest.raises(NumericError, match="below zero"):
+            husimi_grid(state, np.array([0.0, np.pi]), np.array([0.0]))
+
     def test_empty_axes_rejected(self):
         with pytest.raises(DomainError):
             husimi_grid(ground_state(2), np.array([]), np.array([0.0]))
+
+    @pytest.mark.parametrize(
+        "thetas, phis",
+        [
+            ([0.5, np.nan], [0.0, 1.0]),
+            ([0.5, np.inf], [0.0, 1.0]),
+            ([-np.inf], [0.0]),
+            ([0.5], [0.0, np.nan]),
+            ([0.5], [np.inf, 1.0]),
+        ],
+    )
+    def test_non_finite_axes_rejected(self, thetas, phis):
+        with pytest.raises(DomainError, match="finite"):
+            husimi_grid(css_state(6, 1.0, 0.3), thetas, phis)
+
+    def test_nan_state_raises(self):
+        # a NaN grid value must fail the range checks, not pass through them
+        state = CollectiveState(build_ledger(1), {0.5: np.array([[np.nan, 0], [0, 1]])})
+        with pytest.raises(NumericError):
+            husimi_grid(state, np.array([1.0]), np.array([0.0]))
+
+
+# theta with both poles; phi unsorted, non-uniform and outside [0, 2 pi)
+GRID_THETAS = np.array([0.0, 0.3, 1.1, np.pi / 2, 2.0, 2.9, np.pi])
+GRID_PHIS = np.array([4.0, 0.0, 6.1, 0.2, 2.5, 2.6, -0.7, 9.0])
+
+
+class TestHusimiAgainstDense:
+    def test_pure_single_block(self, rng):
+        state = apply_circuit(random_circuit(rng, 12, 4), ground_state(12))
+        assert len(state.active_js) == 1
+        got = husimi_grid(state, GRID_THETAS, GRID_PHIS)
+        want = dense_husimi(state, GRID_THETAS, GRID_PHIS)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 41])
+    def test_random_mixed_states(self, rng, n):
+        state = random_mixed_state(rng, n)
+        assert len(state.active_js) == len(state.ledger.blocks)
+        got = husimi_grid(state, GRID_THETAS, GRID_PHIS)
+        want = dense_husimi(state, GRID_THETAS, GRID_PHIS)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 class TestCsv:
@@ -226,3 +325,14 @@ class TestCsv:
         assert lines[0] == "theta,phi,q"
         assert len(lines) == 1 + 6
         assert lines[1].startswith("0,0,")
+
+    def test_husimi_csv_bytes_match_per_cell_formatting(self, rng):
+        thetas = np.linspace(0.0, np.pi, 7)
+        phis = np.linspace(0.0, 2 * np.pi, 5, endpoint=False)
+        grid = husimi_grid(random_mixed_state(rng, 4), thetas, phis)
+        grid[0, 0], grid[1, 1] = 0.0, 1.0
+        want = ["theta,phi,q"]
+        for it, theta in enumerate(thetas):
+            for ip, phi in enumerate(phis):
+                want.append(f"{theta:.17g},{phi:.17g},{grid[it, ip]:.17g}")
+        assert husimi_csv(thetas, phis, grid) == "\n".join(want) + "\n"
