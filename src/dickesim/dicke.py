@@ -430,26 +430,33 @@ def _ln_binomials(twoj: int) -> np.ndarray:
     return out
 
 
+def _css_magnitudes(twoj: int, thetas: np.ndarray) -> np.ndarray:
+    """|c_m| of the spin-j coherent states at polar angles ``thetas``, one
+    unnormalized row per angle over m = j, j-1, ..., -j:
+
+    sqrt(C(2j, j+m)) cos(theta/2)^(j+m) sin(theta/2)^(j-m),
+
+    evaluated for all angles at once in log space, so binomials stay finite
+    up to very large j.
+    """
+    half = np.asarray(thetas, dtype=float)[:, None] / 2.0
+    ks = np.arange(twoj + 1)  # sin-half exponent j - m
+    ln_mag = 0.5 * _ln_binomials(twoj)  # the row is symmetric: C(2j, j+m) = C(2j, j-m)
+    alive = np.ones((half.shape[0], twoj + 1), dtype=bool)
+    for base, expo in ((np.cos(half), twoj - ks), (np.sin(half), ks)):
+        zero = base == 0.0
+        alive &= ~zero | (expo == 0)  # 0^0 = 1, 0^k = 0
+        ln_mag = ln_mag + expo * np.log(np.where(zero, 1.0, base))
+    return np.exp(np.where(alive, ln_mag, -np.inf))
+
+
 def css_amplitudes(twoj: int, theta: float, phi: float) -> np.ndarray:
     """Spin-j coherent state amplitudes over m = j, j-1, ..., -j.
 
     c_m = sqrt(C(2j, j+m)) cos(theta/2)^(j+m) (sin(theta/2) e^{-i phi})^(j-m),
-    evaluated in log space so binomials stay finite up to very large j.
+    with the magnitudes from ``_css_magnitudes``.
     """
-    j = twoj / 2.0
-    m = j - np.arange(twoj + 1)
-    kc = np.rint(j + m).astype(int)  # cos-half exponent
-    ks = np.rint(j - m).astype(int)  # sin-half exponent
-    ch = np.cos(theta / 2.0)
-    sh = np.sin(theta / 2.0)
-    ln_mag = 0.5 * _ln_binomials(twoj)  # the row is symmetric: C(2j, j+m) = C(2j, j-m)
-    alive = np.ones(twoj + 1, dtype=bool)
-    for base, expo in ((ch, kc), (sh, ks)):
-        if base == 0.0:
-            alive &= expo == 0  # 0^0 = 1, 0^k = 0
-        else:
-            ln_mag = ln_mag + expo * np.log(base)
-    amp = np.exp(np.where(alive, ln_mag, -np.inf)) * np.exp(-1j * phi * ks)
+    amp = _css_magnitudes(twoj, [theta])[0] * np.exp(-1j * phi * np.arange(twoj + 1))
     return amp / np.linalg.norm(amp)
 
 

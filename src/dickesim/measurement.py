@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import CollectiveState, css_amplitudes, spin_bands
+from .dicke import CollectiveState, _css_magnitudes, spin_bands
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -183,6 +183,13 @@ def expval(state: CollectiveState, observable: str) -> complex | float:
     return value
 
 
+def _radial_rows(twoj: int, thetas: np.ndarray) -> np.ndarray:
+    """The real spin-j coherent-state amplitudes at phi = 0, one normalized
+    row per theta, from one vectorized evaluation for all thetas."""
+    rows = _css_magnitudes(twoj, thetas)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
 def husimi_grid(
     state: CollectiveState,
     theta_points: np.ndarray,
@@ -211,7 +218,7 @@ def husimi_grid(
     t = np.zeros((thetas.size, width, 2))
     for rho in blocks:
         d = rho.shape[0]
-        radial = np.array([css_amplitudes(d - 1, theta, 0.0).real for theta in thetas])
+        radial = _radial_rows(d - 1, thetas)
         t[:, 0, 0] += radial**2 @ rho.diagonal().real
         for k in range(1, d):
             band = rho.diagonal(k) + rho.diagonal(-k).conj()

@@ -3,6 +3,12 @@ ansatz, finite-difference gradients, and GD / Adam / QNG optimizers.  QNG
 reads the ansatz's ket straight off its rank-1 density block; the only
 eigendecomposition it adds is the one of its small metric.
 
+``fit`` runs each distinct circuit once.  The 2*dim probe states of an
+iteration give the gradient their costs and, under QNG, the metric their
+kets; the metric's centre ket is read off the state of the current point.
+The intermediate states of that point are kept, so a probe, which moves
+one angle, reruns only the gates from that angle on.
+
 The ansatz prepares the equatorial coherent state with RN(pi/2, 0) and then
 applies OAT(t1, z), TNT(t2, zx), TAT(t3, zy).  Two readings of the TNT
 coupling argument are supported:
@@ -30,9 +36,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dicke import ground_state
+from .dicke import CollectiveState, ground_state
 from .errors import DomainError, NumericError, UnsupportedConfigError
-from .gates import Circuit, GateSpec, apply_circuit
+from .gates import Circuit, GateSpec, apply_circuit, apply_gate
+from .squeezing import get_xi_2_S
 
 __all__ = [
     "TNT_COUPLING_READINGS",
@@ -109,10 +116,27 @@ class Ansatz:
 
 def cost(theta: Sequence[float], ansatz: Ansatz) -> float:
     """xi^2_S of the ansatz state evolved from the ground state."""
-    from .squeezing import get_xi_2_S
-
     state = apply_circuit(ansatz.build(theta), ground_state(ansatz.n_particles))
     return get_xi_2_S(state)
+
+
+def _probe_points(theta: np.ndarray, eps_fd: float) -> list[np.ndarray]:
+    """theta + eps_fd e_0, theta - eps_fd e_0, theta + eps_fd e_1, ...: the
+    2*dim points of a central difference, in the order it reads them."""
+    probes = []
+    for k in range(theta.size):
+        for sign in (+1.0, -1.0):
+            p = theta.copy()
+            p[k] += sign * eps_fd
+            probes.append(p)
+    return probes
+
+
+def _central_difference(values, eps_fd: float) -> np.ndarray:
+    """Row k is (f(theta + eps_fd e_k) - f(theta - eps_fd e_k)) / (2 eps_fd),
+    from f's values (scalars or vectors) at ``_probe_points``."""
+    values = np.asarray(values)
+    return (values[0::2] - values[1::2]) / (2.0 * eps_fd)
 
 
 def grad_findiff(
@@ -124,17 +148,7 @@ def grad_findiff(
     if eps_fd <= 0:
         raise DomainError(f"finite-difference step must be > 0, got {eps_fd}")
     theta = np.asarray(theta, dtype=float)
-    probes = []
-    for k in range(theta.size):
-        for sign in (+1.0, -1.0):
-            p = theta.copy()
-            p[k] += sign * eps_fd
-            probes.append(p)
-    values = [fn(p) for p in probes]
-    grad = np.empty(theta.size)
-    for k in range(theta.size):
-        grad[k] = (values[2 * k] - values[2 * k + 1]) / (2.0 * eps_fd)
-    return grad
+    return _central_difference([fn(p) for p in _probe_points(theta, eps_fd)], eps_fd)
 
 
 def gd_step(theta: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
@@ -172,14 +186,61 @@ def adam_step(
     return theta_new, AdamState(m=m, v=v, t=t)
 
 
-def _ansatz_vector(ansatz: Ansatz, theta: np.ndarray) -> np.ndarray:
-    """Pure-state vector of the (noiseless) ansatz, read off its rank-1 top
+def _gate_bits(spec: GateSpec) -> tuple:
+    """A gate's identity down to the bit patterns of its floats, so that
+    -0.0 and 0.0 differ."""
+    noise = None if spec.noise is None else spec.noise.hex()
+    return spec.kind, spec.axes, noise, tuple(p.hex() for p in spec.params)
+
+
+class _AnsatzRunner:
+    """Runs the ansatz from the ground state, keeping the state after each
+    gate of one anchor point but its last.
+
+    A circuit reuses the longest gate prefix it shares with the anchor's and
+    applies only the gates after it.  Each of those runs the same
+    ``apply_gate`` on the same input as a run from scratch, so every state is
+    bit for bit that run's.  The states of other points are not kept.
+    """
+
+    def __init__(self, ansatz: Ansatz):
+        self.ansatz = ansatz
+        self._gates: list[tuple] = []  # _states[i] is the state after _gates[i]
+        self._states: list[CollectiveState] = []
+
+    def run(self, theta: np.ndarray, anchor: bool = False) -> tuple[Circuit, CollectiveState]:
+        """The circuit at ``theta`` and its final state; ``anchor`` keeps
+        the gate-by-gate states for the points that follow."""
+        circuit = self.ansatz.build(theta)
+        if circuit.n_particles != self.ansatz.n_particles:
+            raise DomainError(
+                f"circuit is for N = {circuit.n_particles}, "
+                f"state has N = {self.ansatz.n_particles}"
+            )
+        specs = circuit.instructions
+        gates = [_gate_bits(spec) for spec in specs]
+        shared = 0
+        for new, old in zip(gates, self._gates):
+            if new != old:
+                break
+            shared += 1
+        if anchor:  # the old anchor's later states go before new ones are made
+            del self._gates[shared:], self._states[shared:]
+        state = self._states[shared - 1] if shared else ground_state(self.ansatz.n_particles)
+        for i in range(shared, len(specs)):
+            state = apply_gate(state, specs[i])
+            if anchor and i < len(specs) - 1:  # the final state is no probe's prefix
+                self._gates.append(gates[i])
+                self._states.append(state)
+        return circuit, state
+
+
+def _read_ket(circuit: Circuit, state: CollectiveState) -> np.ndarray:
+    """Pure-state vector of a noiseless ansatz state, read off its rank-1 top
     block rho = psi psi^dagger: column p over sqrt(rho_pp), with p the largest
     diagonal entry, so psi_p is real and positive."""
-    circuit = ansatz.build(theta)
     if any(spec.noise for spec in circuit.instructions):
         raise UnsupportedConfigError("QNG metric needs a noiseless (pure) ansatz")
-    state = apply_circuit(circuit, ground_state(ansatz.n_particles))
     js = state.active_js
     if len(js) != 1:
         raise UnsupportedConfigError("QNG metric needs a single-block pure state")
@@ -202,21 +263,11 @@ def _align(vec: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return vec * (abs(overlap) / overlap)
 
 
-def fubini_study_metric(theta: np.ndarray, ansatz: Ansatz, eps_fd: float) -> np.ndarray:
-    """g_kl = Re[<d_k psi|d_l psi> - <d_k psi|psi><psi|d_l psi>] with central
-    finite differences on the phase-aligned pure-state vector."""
-    theta = np.asarray(theta, dtype=float)
-    center = _ansatz_vector(ansatz, theta)
-    derivs = []
-    for k in range(theta.size):
-        plus = theta.copy()
-        plus[k] += eps_fd
-        minus = theta.copy()
-        minus[k] -= eps_fd
-        vp = _align(_ansatz_vector(ansatz, plus), center)
-        vm = _align(_ansatz_vector(ansatz, minus), center)
-        derivs.append((vp - vm) / (2.0 * eps_fd))
-    dim = theta.size
+def _metric(center: np.ndarray, kets: list[np.ndarray], eps_fd: float) -> np.ndarray:
+    """g_kl = Re[<d_k psi|d_l psi> - <d_k psi|psi><psi|d_l psi>], with the
+    derivatives central differences of the probe kets aligned to ``center``."""
+    derivs = _central_difference([_align(v, center) for v in kets], eps_fd)
+    dim = len(derivs)
     g = np.empty((dim, dim))
     for k in range(dim):
         for l in range(dim):
@@ -224,6 +275,16 @@ def fubini_study_metric(theta: np.ndarray, ansatz: Ansatz, eps_fd: float) -> np.
             berry = np.vdot(derivs[k], center) * np.vdot(center, derivs[l])
             g[k, l] = (term - berry).real
     return 0.5 * (g + g.T)
+
+
+def fubini_study_metric(theta: np.ndarray, ansatz: Ansatz, eps_fd: float) -> np.ndarray:
+    """g_kl = Re[<d_k psi|d_l psi> - <d_k psi|psi><psi|d_l psi>] with central
+    finite differences on the phase-aligned pure-state vector."""
+    theta = np.asarray(theta, dtype=float)
+    runner = _AnsatzRunner(ansatz)
+    center = _read_ket(*runner.run(theta, anchor=True))
+    kets = [_read_ket(*runner.run(p)) for p in _probe_points(theta, eps_fd)]
+    return _metric(center, kets, eps_fd)
 
 
 def qng_step(
@@ -292,7 +353,15 @@ def fit(
     """Iterate the configured optimizer from ``initial`` (or a seeded random
     start in [-0.1, 0.1)) until |delta cost| < tolerance or max_iter.
 
-    A non-finite ``initial`` raises DomainError before any cost is evaluated.
+    Each distinct circuit runs once: the 2*dim probe states of an iteration
+    give their costs to the gradient and, under QNG, their kets to the
+    metric, whose centre ket is the current point's.  The intermediate
+    states of the current point are kept, so a probe reruns only the gates
+    from its moved angle on.  Every gate sees the input it would see in a
+    run from scratch, so the histories are those of ``cost``,
+    ``grad_findiff`` and ``fubini_study_metric`` bit for bit.
+
+    A non-finite ``initial`` raises DomainError before any circuit runs.
 
     A cost failure mid-run (degenerate frame) stops the loop and returns the
     partial history with converged=False.
@@ -311,26 +380,33 @@ def fit(
                 f"initial parameters must be finite, got {theta.tolist()}"
             )
 
-    def fn(t: np.ndarray) -> float:
-        return cost(t, ansatz)
+    runner = _AnsatzRunner(ansatz)
+    qng = config.kind == "qng"
+
+    def read(t: np.ndarray, anchor: bool = False) -> tuple[float, np.ndarray | None]:
+        # the cost and, under QNG, the ket at t; the state itself is dropped
+        circuit, state = runner.run(t, anchor)
+        return get_xi_2_S(state), _read_ket(circuit, state) if qng else None
 
     adam = AdamState.zeros(theta.size)
-    history = [fn(theta)]
+    value, center = read(theta, anchor=True)
+    history = [value]
     thetas = [theta.copy()]
     times: list[float] = []
     converged = False
     for _ in range(config.max_iter):
         start = time.perf_counter()
         try:
-            grad = grad_findiff(fn, theta, config.eps_fd)
+            probes = [read(p) for p in _probe_points(theta, config.eps_fd)]
+            grad = _central_difference([c for c, _ in probes], config.eps_fd)
             if config.kind == "gd":
                 theta = gd_step(theta, grad, config.learning_rate)
             elif config.kind == "adam":
                 theta, adam = adam_step(adam, theta, grad, eta=config.learning_rate)
             else:
-                g = fubini_study_metric(theta, ansatz, config.eps_fd)
+                g = _metric(center, [ket for _, ket in probes], config.eps_fd)
                 theta = qng_step(theta, grad, g, config.learning_rate)
-            value = fn(theta)
+            value, center = read(theta, anchor=True)
         except NumericError:
             break
         history.append(value)

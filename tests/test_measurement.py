@@ -278,6 +278,21 @@ class TestHusimi:
             husimi_grid(state, np.array([1.0]), np.array([0.0]))
 
 
+@pytest.mark.parametrize("twoj", [0, 1, 2, 7, 40, 300])
+def test_radial_rows_match_per_theta_css_amplitudes(twoj):
+    # theta = 0 puts a zero base under a zero exponent (0^0 = 1)
+    from dickesim.dicke import css_amplitudes
+    from dickesim.measurement import _radial_rows
+
+    thetas = np.concatenate([[0.0, np.pi], np.linspace(0.0, np.pi, 37), [1e-9, np.pi - 1e-9]])
+    rows = _radial_rows(twoj, thetas)
+    want = np.array([css_amplitudes(twoj, theta, 0.0).real for theta in thetas])
+    assert rows.shape == (thetas.size, twoj + 1)
+    np.testing.assert_allclose(rows, want, rtol=0, atol=1e-14)
+    # sin(0) is exactly 0; cos(pi/2) is 6e-17, so the south pole is not exact
+    np.testing.assert_array_equal(rows[0], np.eye(twoj + 1)[0])
+
+
 # theta with both poles; phi unsorted, non-uniform and outside [0, 2 pi)
 GRID_THETAS = np.array([0.0, 0.3, 1.1, np.pi / 2, 2.0, 2.9, np.pi])
 GRID_PHIS = np.array([4.0, 0.0, 6.1, 0.2, 2.5, 2.6, -0.7, 9.0])

@@ -195,11 +195,11 @@ class TestMetric:
         # reference: recover the ket as the dominant eigenvector of the
         # block, phase fixed on its largest entry
         from dickesim import vqa
-        from dickesim.dicke import ground_state
-        from dickesim.gates import apply_circuit
 
-        def eigh_vector(ansatz, t):
-            state = apply_circuit(ansatz.build(t), ground_state(ansatz.n_particles))
+        reads = []
+
+        def eigh_vector(circuit, state):
+            reads.append(circuit)
             (j,) = state.active_js
             evals, evecs = np.linalg.eigh(state.block(j))
             assert evals[-1] > 1.0 - 1e-8
@@ -211,8 +211,9 @@ class TestMetric:
         theta = np.array(theta)
         g = fubini_study_metric(theta, ansatz, 1e-3)
         with monkeypatch.context() as m:
-            m.setattr(vqa, "_ansatz_vector", eigh_vector)
+            m.setattr(vqa, "_read_ket", eigh_vector)
             reference = fubini_study_metric(theta, ansatz, 1e-3)
+        assert len(reads) == 7  # the centre and six probes went through the patch
         assert np.abs(g - reference).max() <= 1e-12 * np.abs(reference).max()
 
     def test_mixed_state_rejected(self, monkeypatch):
@@ -222,7 +223,7 @@ class TestMetric:
         from dickesim.dicke import CollectiveState, build_ledger
 
         mixed = CollectiveState(build_ledger(2), {1.0: np.eye(3) / 3.0})
-        monkeypatch.setattr(vqa, "apply_circuit", lambda circuit, state: mixed)
+        monkeypatch.setattr(vqa, "apply_gate", lambda state, spec: mixed)
         with pytest.raises(UnsupportedConfigError, match="mixed"):
             fubini_study_metric(np.zeros(3), Ansatz(2), 1e-4)
 
@@ -288,14 +289,86 @@ class TestFit:
     def test_non_finite_initial_rejected_before_any_cost(self, monkeypatch):
         from dickesim import vqa
 
-        def no_cost(theta, ansatz):
-            raise AssertionError("cost evaluated")
+        def no_gate(state, spec):
+            raise AssertionError("circuit run")
 
-        monkeypatch.setattr(vqa, "cost", no_cost)
+        monkeypatch.setattr(vqa, "apply_gate", no_gate)
+        monkeypatch.setattr(vqa, "apply_circuit", no_gate)
         cfg = OptimizerConfig(kind="qng", learning_rate=0.03, max_iter=1)
         for bad in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]):
             with pytest.raises(DomainError, match="initial"):
                 fit(Ansatz(6), cfg, bad)
+
+    @pytest.mark.parametrize("kind, lr", [("gd", 1e-3), ("adam", 0.01), ("qng", 0.03)])
+    def test_matches_from_scratch_loop_bit_for_bit(self, kind, lr):
+        # every point rebuilt with the public functions, none reused
+        a = Ansatz(12)
+        cfg = OptimizerConfig(kind=kind, learning_rate=lr, max_iter=3)
+        fn = lambda t: cost(t, a)
+        theta = np.array([0.00195902, 0.14166777, 0.01656466])
+        adam = AdamState.zeros(3)
+        costs, thetas = [fn(theta)], [theta.copy()]
+        for _ in range(cfg.max_iter):
+            grad = grad_findiff(fn, theta, cfg.eps_fd)
+            if kind == "gd":
+                theta = gd_step(theta, grad, lr)
+            elif kind == "adam":
+                theta, adam = adam_step(adam, theta, grad, eta=lr)
+            else:
+                theta = qng_step(theta, grad, fubini_study_metric(theta, a, cfg.eps_fd), lr)
+            costs.append(fn(theta))
+            thetas.append(theta.copy())
+        res = fit(a, cfg, thetas[0])
+        assert res.cost_history == costs
+        assert len(res.theta_history) == len(thetas)
+        assert all((got == want).all() for got, want in zip(res.theta_history, thetas))
+
+    def test_each_distinct_gate_runs_once(self, monkeypatch):
+        # one QNG iteration of the 4-gate ansatz: the start point, then the
+        # probes of t1, t2, t3 rerun 3, 2 and 1 gates each, and the new
+        # point all but the shared RN preparation
+        from dickesim import gates, vqa
+
+        calls = []
+        real = gates.apply_gate
+
+        def counted(state, spec):
+            calls.append(spec.kind)
+            return real(state, spec)
+
+        monkeypatch.setattr(gates, "apply_gate", counted)
+        monkeypatch.setattr(vqa, "apply_gate", counted)
+        cfg = OptimizerConfig(kind="qng", learning_rate=0.03, max_iter=1)
+        res = fit(Ansatz(8), cfg, [0.01, 0.02, 0.03])
+        assert len(res.cost_history) == 2
+        assert len(calls) == 4 + 6 + 4 + 2 + 3
+
+    def test_signed_zero_is_a_different_gate(self, monkeypatch):
+        # gates are compared by bit pattern, so a point at RZ(-0.0) reruns
+        # the RZ instead of reusing the anchor's state after RZ(0.0)
+        from dickesim import vqa
+        from dickesim.gates import Circuit, GateSpec
+
+        class RzAnsatz(Ansatz):
+            def build(self, theta):
+                return Circuit(self.n_particles, (
+                    GateSpec("RZ", (float(theta[0]),)),
+                    GateSpec("RX", (0.5,)),
+                ))
+
+        calls = []
+        real = vqa.apply_gate
+        monkeypatch.setattr(
+            vqa, "apply_gate", lambda state, spec: calls.append(spec) or real(state, spec)
+        )
+        runner = vqa._AnsatzRunner(RzAnsatz(4))
+        runner.run(np.array([0.0]), anchor=True)
+        _, reused = runner.run(np.array([0.0]))
+        _, rerun = runner.run(np.array([-0.0]))
+        assert [(s.kind, str(s.params[0])) for s in calls] == [
+            ("RZ", "0.0"), ("RX", "0.5"), ("RX", "0.5"), ("RZ", "-0.0"), ("RX", "0.5")
+        ]
+        np.testing.assert_allclose(reused.block(2.0), rerun.block(2.0), atol=1e-15)
 
     @pytest.mark.parametrize(
         "field, value",
