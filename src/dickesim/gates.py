@@ -26,19 +26,27 @@ call it:
   K_j = diag(p), applied to rho_j as the elementwise product with p p^dag;
 * {+1} (R_PLUS): the exact finite series of the nilpotent J_+; {-1}
   (R_MINUS): the same series of its transpose, transposed back;
-* other Hermitian G: eigenpairs of the dense G_j;
+* the quadratic rotations GMS(t, phi), RX2, RY2 and OAT with axis x or y:
+  G = D J_x^2 D^dag with D = exp(-i alpha J_z) = diag(p), p = e^{-i alpha m},
+  and alpha = phi, 0, pi/2, 0, pi/2.  One real eigenbasis (w, V) of the
+  tridiagonal J_x per 2j serves them all, at every angle and azimuth:
+  K_j[a, b] = p_a M[a, b] conj(p_b) with M = V e^{-i t w^2} V^T, and w is
+  J_x's exact spectrum -j, ..., j.  This is how Feng et al. compute Wigner's
+  d matrix (PRE 92, 043307 (2015));
+* other Hermitian G (RX, RY, RN, TAT, TNT): eigenpairs of the dense G_j;
 * other non-Hermitian G (TAT/TNT with a plus or minus axis): scipy's Pade
   expm, imported on first use, so no other path loads SciPy.
 
 A non-Hermitian G gives a non-unitary K: the conjugated state is renormalized
 to unit trace and flagged ``conditional`` (the map is not trace preserving).
 
-G_j depends on 2j and on every gate parameter except the angle (and, for TNT,
-on N/Lambda), so the kernel keeps the eigenpairs (w, V) of Hermitian G_j in
-one byte-bounded LRU cache shared by every call.  A key is stored on its
-second request only, so gates whose azimuth is drawn afresh each time never
-fill it.  A hit skips the generator build and the eigh, and gives
-K_j = (V e^{-i t w}) V^dag bit for bit as a miss does.
+The kernel keeps those eigenpairs in one byte-bounded LRU cache shared by
+every call.  The J_x basis is keyed by 2j alone.  Any other G_j depends on 2j
+and on every gate parameter except the angle (and, for TNT, on N/Lambda), and
+so does its key; RN's azimuth is part of it.  A key is stored on its second
+request only, so gates whose azimuth is drawn afresh each time never fill it.
+A hit skips the generator build and the eigh, and gives K_j bit for bit as a
+miss does.
 """
 
 from __future__ import annotations
@@ -299,10 +307,22 @@ class _EigenpairCache:
 _EIGENPAIRS = _EigenpairCache(EIGENPAIR_CACHE_BYTES, _SEEN_ONCE_KEYS)
 
 
+def _quadratic_azimuth(spec: GateSpec) -> float | None:
+    """alpha with G = D J_x^2 D^dag, D = exp(-i alpha J_z), for the kinds of
+    that form (GMS: phi; RX2, OAT x: 0; RY2, OAT y: pi/2), else None."""
+    if spec.kind == "GMS":
+        return spec.params[1]
+    axis = {"RX2": "x", "RY2": "y", "OAT": spec.axes and spec.axes[0]}.get(spec.kind)
+    return {"x": 0.0, "y": np.pi / 2.0}.get(axis)
+
+
 def _gate_key(spec: GateSpec, n_particles: int) -> tuple:
-    """Everything a block generator depends on besides 2j: the kind, the axes,
-    every parameter but the angle (bit patterns, so -0.0 != 0.0) and, for TNT,
-    the N/Lambda its recipe uses."""
+    """Everything a block generator's eigenpairs depend on besides 2j.  The
+    quadratic rotation kinds all use the eigenpairs of J_x: the empty key.
+    Other kinds: the kind, the axes, every parameter but the angle (bit
+    patterns, so -0.0 != 0.0) and, for TNT, the N/Lambda its recipe uses."""
+    if _quadratic_azimuth(spec) is not None:
+        return ()
     params = spec.params[1:]
     if spec.kind == "TNT":
         params += (n_particles / spec.params[1],)
@@ -320,13 +340,15 @@ def _band_offsets(kind: str, axes: tuple[str, ...] | None) -> frozenset[int]:
 class BlockGenerator:
     """A generator G kept as its recipe: ``bands(j)`` builds G_j as bands.
     ``offsets`` are G's band offsets, the same on every block; ``key`` is
-    everything G_j depends on besides 2j (see ``_gate_key``); ``js`` are the
-    blocks it was made for."""
+    everything G_j's eigenpairs depend on besides 2j (see ``_gate_key``);
+    ``azimuth`` is alpha if G = D_alpha J_x^2 D_alpha^dag (see
+    ``_quadratic_azimuth``); ``js`` are the blocks it was made for."""
 
     build: Callable
     hermitian: bool
     offsets: frozenset[int]
     key: tuple
+    azimuth: float | None
     js: tuple[float, ...]
 
     def bands(self, j: float) -> Banded:
@@ -345,13 +367,14 @@ def generator(
         ledger.block_index(j)
     offsets = _band_offsets(spec.kind, spec.axes)
     key = _gate_key(spec, ledger.n_particles)
-    return BlockGenerator(build, herm, offsets, key, tuple(js)), angle
+    azimuth = _quadratic_azimuth(spec)
+    return BlockGenerator(build, herm, offsets, key, azimuth, tuple(js)), angle
 
 
 def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
     """K_j = exp(-i angle G_j), the one per-block kernel: the phase vector p
-    of K_j = diag(p), or the matrix K_j, in the form G's band offsets select
-    (see the module docstring)."""
+    of K_j = diag(p), or the matrix K_j, in the form G's band offsets and
+    azimuth select (see the module docstring)."""
     if gen.offsets == {0}:
         return np.exp(-1j * angle * gen.bands(j).diags[0])
     if gen.offsets == {1}:
@@ -362,13 +385,29 @@ def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
         from scipy.linalg import expm
 
         return expm(-1j * angle * gen.bands(j).dense())
-    key = (_twoj(j),) + gen.key
+    twoj = _twoj(j)
+    key = (twoj,) + gen.key
     pair, admit = _EIGENPAIRS.lookup(key)
     if pair is None:
-        pair = _eigh(gen.bands(j).dense(), j)
+        if gen.azimuth is None:
+            pair = _eigh(gen.bands(j).dense(), j)
+        else:  # the real J_x, whose spectrum is exactly -j, ..., j (ascending)
+            pair = (np.arange(twoj + 1) - j, _eigh(spin_bands(twoj)["x"].dense().real, j)[1])
         if admit:
             _EIGENPAIRS.store(key, *pair)
     w, v = pair
+    if gen.azimuth is not None:
+        # K = D M D^dag with M = V e^{-i t w^2} V^T, whose real and imaginary
+        # parts are two real products, and D = diag(p), p = e^{-i alpha m}
+        phase = angle * (w * w)
+        k = np.empty((twoj + 1, twoj + 1), dtype=complex)
+        k.real = (v * np.cos(phase)) @ v.T
+        k.imag = (v * -np.sin(phase)) @ v.T
+        if gen.azimuth != 0.0:
+            p = np.exp(-1j * gen.azimuth * (j - np.arange(twoj + 1)))
+            k *= p[:, None]
+            k *= p.conj()
+        return k
     # (V e^{-i t w}) V^dag as conj(conj(V e^{-i t w}) V^T), conjugated in
     # place: the same bits, with two (2j+1)^2 temporaries fewer
     k = v * np.exp(-1j * angle * w)

@@ -2,8 +2,9 @@
 
 Hermitian, non-diagonal block generators keep their eigenpairs (w, V) in one
 byte-bounded LRU cache keyed by (2j, kind, axes, every parameter but the
-angle[, N/Lambda]).  A key is stored on its second request, and a hit must
-give states bit-identical to a cold cache.
+angle[, N/Lambda]).  The quadratic rotations (GMS, RX2, RY2, OAT x|y) share
+the real eigenbasis of J_x, keyed by (2j,) alone.  A key is stored on its
+second request, and a hit must give states bit-identical to a cold cache.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from dickesim import CollectiveState, build_ledger, ground_state
 from dickesim import gates
-from dickesim.gates import GateSpec, apply_gate
+from dickesim.gates import GateSpec, apply_gate, exponentiate, generator
 from dickesim.vqa import Ansatz, cost, grad_findiff
 
 CACHE = gates._EIGENPAIRS
@@ -277,3 +278,49 @@ def test_concurrent_lookups_and_stores_keep_the_byte_count():
     assert 0 < len(cache) <= 10
     assert cache.nbytes == sum(w.nbytes + v.nbytes for w, v in cache._entries.values())
     assert len(cache._seen) <= 32
+
+
+# the kinds with G = D J_x^2 D^dag, D = exp(-i alpha J_z): GMS at four
+# azimuths (one past 2 pi), RX2, RY2 and OAT about x and y
+QUADRATIC_SPECS = tuple(GateSpec("GMS", (1.0, phi)) for phi in (0.0, 0.7, -2.3, 7.0)) + (
+    GateSpec("RX2", (1.0,)),
+    GateSpec("RY2", (1.0,)),
+    GateSpec("OAT", (1.0,), axes="x"),
+    GateSpec("OAT", (1.0,), axes="y"),
+)
+
+
+@pytest.mark.parametrize("twoj", [0, 1, 2, 7, 80, 200, 400])
+@pytest.mark.parametrize(
+    "spec", QUADRATIC_SPECS, ids=lambda s: f"{s.kind}{''.join(s.axes or ())}{s.params[1:]}"
+)
+def test_shared_basis_matches_dense_eigh(spec, twoj):
+    # K from the J_x basis against exp(-i t G_j) from a dense complex eigh of
+    # G_j itself.  The reference's roundoff grows with |t| ||G_j||, about
+    # |t| j(j+1) ulps, so the bound does too.
+    j = twoj / 2.0
+    gen, _ = generator(spec, build_ledger(twoj or 2), (j,))
+    w, v = np.linalg.eigh(gen.bands(j).dense())
+    for theta in (0.02, 1.0, np.pi, -np.pi):
+        want = (v * np.exp(-1j * theta * w)) @ v.conj().T
+        got = exponentiate(gen, theta)[j]
+        tol = 1e-14 + 4 * 2.2e-16 * abs(theta) * j * (j + 1)
+        assert np.abs(got - want).max() <= tol, f"theta = {theta}"
+
+
+def test_quadratic_kinds_share_one_entry_per_block(monkeypatch):
+    state = mixed_state(7)
+    specs = (GateSpec("GMS", (0.45, 0.8)), GateSpec("GMS", (-0.2, 2.9))) + tuple(
+        GateSpec(s.kind, (0.3,) + s.params[1:], s.axes) for s in QUADRATIC_SPECS[4:]
+    )
+    for spec in specs:
+        apply_gate(state, spec)
+    assert sorted(CACHE._entries) == sorted((int(2 * j),) for j in state.active_js)
+    for w, v in CACHE._entries.values():
+        assert w.dtype == v.dtype == np.float64
+    with monkeypatch.context() as patch:
+        forbid_eigh(patch)
+        hits = [apply_gate(state, spec) for spec in specs]
+    for spec, hit in zip(specs, hits):
+        CACHE.clear()
+        assert_states_equal(hit, apply_gate(state, spec))

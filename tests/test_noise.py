@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import dataclasses
 
 from dickesim import (
+    CollectiveState,
     DomainError,
+    build_ledger,
     apply_circuit,
     depolarize,
     excited_state,
@@ -18,6 +20,7 @@ from dickesim import (
     probabilities,
     rho_prime,
 )
+from dickesim import noise
 from dickesim.gates import Circuit
 from dickesim.oracle import extract_collective as oracle_extract
 from dickesim.oracle import full_run
@@ -146,3 +149,60 @@ class TestBlockStructure:
         state = depolarize(ground_state(1), 0.7)
         assert state.active_js == (0.5,)
         assert_valid_state(state)
+
+
+def random_full_state(rng, n):
+    """Random PSD blocks on every block of the ledger."""
+    ledger = build_ledger(n)
+    blocks = {}
+    for b in ledger.blocks:
+        a = rng.normal(size=(b.dim, b.dim)) + 1j * rng.normal(size=(b.dim, b.dim))
+        blocks[b.j] = a @ a.conj().T
+    total = sum(np.trace(m).real for m in blocks.values())
+    return CollectiveState(ledger, {j: m / total for j, m in blocks.items()})
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 24, 80])
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 1.0])
+    def test_matches_the_channel_built_from_rho_prime(self, n, eps, rng):
+        state = random_full_state(rng, n)
+        prime = rho_prime(state)
+        scale = eps / total_trace(prime)
+        want = {j: scale * b for j, b in prime.items()}
+        for j, rho in state.items():
+            want[j] = want[j] + (1.0 - eps) * rho if j in want else (1.0 - eps) * rho
+        got = depolarize(state, eps)
+        assert set(got.active_js) == set(want)
+        tol = 1e-15 * max(np.abs(rho).max() for _, rho in state.items())
+        for j, rho in got.items():
+            assert np.abs(rho - want[j]).max() <= tol, f"block j = {j}"
+
+    def test_term_cache_holds_vectors_only(self, rng):
+        # cached d x d weight matrices would cost O(N^3) memory; the terms
+        # keep O(2j) vectors per block
+        n = 24
+        depolarize(random_full_state(rng, n), 0.3)
+        for b in build_ledger(n).blocks:
+            terms, trace_weights = noise._transition_terms(n, b.dim - 1)
+            arrays = [trace_weights] + [a for t in terms for a in t if isinstance(a, np.ndarray)]
+            assert len(arrays) == 1 + 2 * len(terms)
+            assert all(a.ndim == 1 and not a.flags.writeable for a in arrays)
+
+    def test_term_cache_holds_a_whole_ledger(self):
+        # N = 600 has 301 blocks, more than a 256-entry LRU holds: a channel
+        # sweeping the ledger in order would miss on every block, every call.
+        # A state on all 301 blocks takes about 0.6 GB, so this drives the
+        # per-block lookup depolarize makes, in its order, twice.
+        ledger = build_ledger(600)
+        noise._transition_terms.cache_clear()
+        for _ in range(2):
+            for b in ledger.blocks:
+                noise._transition_terms(600, b.dim - 1)
+        info = noise._transition_terms.cache_info()
+        assert (info.misses, info.hits) == (301, 301)
+        # and a second depolarize at N = 600 looks up nothing new
+        state = CollectiveState(ledger, {j: np.eye(int(2 * j) + 1) / 9.0 for j in (0.0, 1.0, 2.0)})
+        depolarize(state, 0.3)
+        depolarize(state, 0.3)
+        assert noise._transition_terms.cache_info().misses == 301
