@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dickesim import Circuit, GateSpec
+from dickesim import Circuit, CollectiveState, GateSpec, build_ledger
 
 CATALOG = (
     "RX", "RY", "RZ", "RN", "R_PLUS", "R_MINUS",
@@ -21,6 +21,17 @@ def assert_valid_state(state, atol=1e-10):
         assert np.allclose(rho, rho.conj().T, atol=atol), f"block j={j} not Hermitian"
         evals = np.linalg.eigvalsh(rho)
         assert evals.min() > -atol, f"block j={j} has eigenvalue {evals.min()}"
+
+
+def random_full_state(rng, n):
+    """Random PSD blocks on every block of the ledger, unit trace."""
+    ledger = build_ledger(n)
+    blocks = {}
+    for b in ledger.blocks:
+        a = rng.normal(size=(b.dim, b.dim)) + 1j * rng.normal(size=(b.dim, b.dim))
+        blocks[b.j] = a @ a.conj().T
+    total = sum(np.trace(m).real for m in blocks.values())
+    return CollectiveState(ledger, {j: m / total for j, m in blocks.items()})
 
 
 def random_gate(rng, noise=None):

@@ -15,6 +15,8 @@ from dickesim import gates
 from dickesim.gates import GateSpec, apply_gate, exponentiate, generator
 from dickesim.vqa import Ansatz, cost, grad_findiff
 
+from conftest import random_full_state
+
 CACHE = gates._EIGENPAIRS
 
 # every Hermitian kind whose generator is not diagonal in m
@@ -51,14 +53,7 @@ def cold_cache():
 
 def mixed_state(n, seed=3):
     """Random PSD blocks on every block of the ledger."""
-    rng = np.random.default_rng(seed)
-    ledger = build_ledger(n)
-    blocks = {}
-    for b in ledger.blocks:
-        a = rng.normal(size=(b.dim, b.dim)) + 1j * rng.normal(size=(b.dim, b.dim))
-        blocks[b.j] = a @ a.conj().T
-    total = sum(np.trace(m).real for m in blocks.values())
-    return CollectiveState(ledger, {j: m / total for j, m in blocks.items()})
+    return random_full_state(np.random.default_rng(seed), n)
 
 
 def assert_states_equal(a, b):

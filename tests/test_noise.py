@@ -10,8 +10,8 @@ import dataclasses
 from dickesim import (
     CollectiveState,
     DomainError,
-    build_ledger,
     apply_circuit,
+    build_ledger,
     depolarize,
     excited_state,
     expval,
@@ -25,7 +25,7 @@ from dickesim.gates import Circuit
 from dickesim.oracle import extract_collective as oracle_extract
 from dickesim.oracle import full_run
 
-from conftest import assert_valid_state, random_circuit
+from conftest import assert_valid_state, random_circuit, random_full_state
 
 
 def total_trace(blocks):
@@ -149,17 +149,6 @@ class TestBlockStructure:
         state = depolarize(ground_state(1), 0.7)
         assert state.active_js == (0.5,)
         assert_valid_state(state)
-
-
-def random_full_state(rng, n):
-    """Random PSD blocks on every block of the ledger."""
-    ledger = build_ledger(n)
-    blocks = {}
-    for b in ledger.blocks:
-        a = rng.normal(size=(b.dim, b.dim)) + 1j * rng.normal(size=(b.dim, b.dim))
-        blocks[b.j] = a @ a.conj().T
-    total = sum(np.trace(m).real for m in blocks.values())
-    return CollectiveState(ledger, {j: m / total for j, m in blocks.items()})
 
 
 class TestOnePass:
