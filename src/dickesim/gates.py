@@ -24,8 +24,9 @@ call it:
 
 * {0} (RZ, RZ2, OAT/TAT/TNT with all-z axes): the phase vector p,
   K_j = diag(p), applied to rho_j as the elementwise product with p p^dag;
-* {+1} (R_PLUS): the exact finite series of the nilpotent J_+; {-1}
-  (R_MINUS): the same series of its transpose, transposed back;
+* {+1} (R_PLUS): the exact finite series of the nilpotent J_+, every term
+  of every superdiagonal from one running product; {-1} (R_MINUS): the same
+  series of its transpose, transposed back;
 * the quadratic rotations GMS(t, phi), RX2, RY2 and OAT with axis x or y:
   G = D J_x^2 D^dag with D = exp(-i alpha J_z) = diag(p), p = e^{-i alpha m},
   and alpha = phi, 0, pi/2, 0, pi/2.  One real eigenbasis (w, V) of the
@@ -33,7 +34,14 @@ call it:
   K_j[a, b] = p_a M[a, b] conj(p_b) with M = V e^{-i t w^2} V^T, and w is
   J_x's exact spectrum -j, ..., j.  This is how Feng et al. compute Wigner's
   d matrix (PRE 92, 043307 (2015));
-* other Hermitian G (RX, RY, RN, TAT, TNT): eigenpairs of the dense G_j;
+* the other Hermitian G with offsets {-2, 0, 2} (TAT over two of x, y, z
+  and TNT(x|y, z)): G_j is real and never couples storage indices of
+  different parity, so its even and odd indices are two real tridiagonal
+  halves with a real eigh each, and K_j is the checkerboard of the halves'
+  V_p e^{-i t w_p} V_p^T, each as two real products, with exact zeros
+  between the parities;
+* other Hermitian G (RX, RY, RN, TNT with second axis x or y): eigenpairs
+  of the dense complex G_j;
 * other non-Hermitian G (TAT/TNT with a plus or minus axis): scipy's Pade
   expm, imported on first use, so no other path loads SciPy.
 
@@ -41,9 +49,10 @@ A non-Hermitian G gives a non-unitary K: the conjugated state is renormalized
 to unit trace and flagged ``conditional`` (the map is not trace preserving).
 
 The kernel keeps those eigenpairs in one byte-bounded LRU cache shared by
-every call.  The J_x basis is keyed by 2j alone.  Any other G_j depends on 2j
-and on every gate parameter except the angle (and, for TNT, on N/Lambda), and
-so does its key; RN's azimuth is part of it.  A key is stored on its second
+every call; both halves of a split G_j are one real entry.  The J_x basis is
+keyed by 2j alone.  Any other G_j depends on 2j and on every gate parameter
+except the angle (and, for TNT, on N/Lambda), and so does its key; RN's
+azimuth is part of it.  A key is stored on its second
 request only, so gates whose azimuth is drawn afresh each time never fill it.
 A hit skips the generator build and the eigh, and gives K_j bit for bit as a
 miss does.
@@ -60,6 +69,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dicke import Banded, BlockLedger, CollectiveState, _twoj, spin_bands
 from .errors import CircuitParseError, DomainError, NumericError
@@ -213,25 +223,34 @@ def _recipe(spec: GateSpec, n_particles: int) -> tuple[Callable, float, bool]:
 
 
 # (-i)^k for k mod 4
-_MINUS_I_POWERS = (1.0, -1j, -1.0, 1j)
+_MINUS_I_POWERS = np.array((1.0, -1j, -1.0, 1j))
 
 
 def _ladder_exponential(lad: np.ndarray, angle: float) -> np.ndarray:
     """exp(-i angle A) for A with the superdiagonal ``lad`` and no other
     entries, as its finite series: A is nilpotent, so K[r, r+k] =
     (-i angle)^k / k! * lad[r] ... lad[r+k-1] exactly, and K is zero below
-    the diagonal."""
+    the diagonal.  Row r's terms are the running products of the factors
+    lad[r], angle/1, lad[r+1], angle/2, ..., one accumulate for all rows."""
     d = lad.size + 1
     k_mat = np.zeros((d, d), dtype=complex)
-    flat = k_mat.reshape(-1)
-    flat[:: d + 1] = 1.0
-    term = np.ones(d)
-    for k in range(1, d):
-        # term[r] = angle^k / k! * lad[r] ... lad[r+k-1], r < d - k
-        term = term[:-1] * lad[k - 1 :] * (angle / k)
-        if not term.any():
-            break  # every later term is zero too
-        flat[k :: d + 1][: d - k] = _MINUS_I_POWERS[k % 4] * term
+    k_mat.reshape(-1)[:: d + 1] = 1.0
+    n = d - 1
+    if n == 0:
+        return k_mat
+    # f[r, 2k-2] = lad[r+k-1] (zero past lad's end), f[r, 2k-1] = angle/k
+    f = np.empty((n, 2 * n))
+    f[:, ::2] = sliding_window_view(np.concatenate([lad, np.zeros(n - 1)]), n)
+    f[:, 1::2] = angle / np.arange(1, d)
+    np.multiply.accumulate(f, axis=1, out=f)
+    term = f[:, 1::2]  # term[r, k-1] = angle^k / k! * lad[r] ... lad[r+k-1]
+    # once a whole term is zero every later one is, and K keeps +0 there
+    nonzero = term.any(axis=0)
+    m = n if nonzero.all() else int(np.argmin(nonzero))
+    # upper[r, k-1] is K[r, r+k]; for r + k > n it would wrap to a later row
+    upper = k_mat.reshape(-1)[1:].reshape(n, d + 1)[:, :m]
+    inside = np.arange(n)[:, None] < n - np.arange(m)
+    np.multiply(_MINUS_I_POWERS[np.arange(1, m + 1) % 4], term[:, :m], out=upper, where=inside)
     return k_mat
 
 
@@ -240,6 +259,28 @@ def _eigh(g: np.ndarray, j: float) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(g)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed in block j = {j}") from exc
+
+
+# band offsets of the generators that never couple m to m +- 1
+_PARITY_OFFSETS = frozenset({-2, 0, 2})
+
+
+def _parity_eigh(g: Banded, j: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a real G_j with band offsets {-2, 0, 2}.  Its even and
+    odd storage indices are two uncoupled real tridiagonal halves, each
+    decomposed by a real eigh: half p's pairs are w[p::2] and v[p::2, :d_p],
+    with d_p = len(w[p::2]), and v has d_0 = (2j + 2) // 2 columns."""
+    d = g.diags[0].size
+    w = np.empty(d)
+    v = np.zeros((d, (d + 1) // 2))
+    for p in (0, 1):
+        diag = g.diags[0][p::2].real
+        n = diag.size
+        half = np.zeros((n, n))  # eigh reads the lower triangle only
+        half.reshape(-1)[:: n + 1] = diag
+        half.reshape(-1)[n :: n + 1] = g.diags[-2][p::2][1:].real
+        w[p::2], v[p::2, :n] = _eigh(half, j)
+    return w, v
 
 
 # Byte budget of the eigenpair cache.  It must hold the working set of a
@@ -387,15 +428,28 @@ def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
         return expm(-1j * angle * gen.bands(j).dense())
     twoj = _twoj(j)
     key = (twoj,) + gen.key
+    split = gen.azimuth is None and gen.offsets <= _PARITY_OFFSETS
     pair, admit = _EIGENPAIRS.lookup(key)
     if pair is None:
-        if gen.azimuth is None:
-            pair = _eigh(gen.bands(j).dense(), j)
-        else:  # the real J_x, whose spectrum is exactly -j, ..., j (ascending)
+        if gen.azimuth is not None:  # the real J_x, spectrum exactly -j, ..., j
             pair = (np.arange(twoj + 1) - j, _eigh(spin_bands(twoj)["x"].dense().real, j)[1])
+        elif split:
+            pair = _parity_eigh(gen.bands(j), j)
+        else:
+            pair = _eigh(gen.bands(j).dense(), j)
         if admit:
             _EIGENPAIRS.store(key, *pair)
     w, v = pair
+    if split:
+        # a checkerboard: each parity's block V_p e^{-i t w_p} V_p^T as two
+        # real products, exact zeros between the parities
+        k = np.zeros((twoj + 1, twoj + 1), dtype=complex)
+        for p in (0, 1):
+            vp = v[p::2, : (twoj + 2 - p) // 2]
+            phase = angle * w[p::2]
+            k.real[p::2, p::2] = (vp * np.cos(phase)) @ vp.T
+            k.imag[p::2, p::2] = (vp * -np.sin(phase)) @ vp.T
+        return k
     if gen.azimuth is not None:
         # K = D M D^dag with M = V e^{-i t w^2} V^T, whose real and imaginary
         # parts are two real products, and D = diag(p), p = e^{-i alpha m}

@@ -319,3 +319,52 @@ def test_quadratic_kinds_share_one_entry_per_block(monkeypatch):
     for spec, hit in zip(specs, hits):
         CACHE.clear()
         assert_states_equal(hit, apply_gate(state, spec))
+
+
+# the kinds whose real G_j keeps the parity of m: TAT over two distinct axes
+# of x, y, z, and TNT(x|y, z) at two couplings
+PARITY_SPECS = tuple(
+    GateSpec("TAT", (1.0,), axes=a + b) for a in "xyz" for b in "xyz" if a != b
+) + tuple(GateSpec("TNT", (1.0, c), axes=a + "z") for a in "xy" for c in (2.5, -0.7))
+
+
+@pytest.mark.parametrize("twoj", [0, 1, 2, 7, 80, 200, 400])
+@pytest.mark.parametrize(
+    "spec", PARITY_SPECS, ids=lambda s: f"{s.kind}{''.join(s.axes)}{s.params[1:]}"
+)
+def test_parity_split_matches_dense_eigh(spec, twoj):
+    # K from the two real halves against exp(-i t G_j) from a dense complex
+    # eigh of G_j; the entries that join the two parities are exact zeros.
+    # The bound is that of test_shared_basis_matches_dense_eigh with ||G_j||
+    # for j(j+1) (TNT's N/Lambda J_z can exceed j^2) and 8 ulps for 4: against
+    # a 30-digit evaluation at TAT(xz), 2j = 400, the reference is off by up
+    # to 5.2 ulp |t| ||G_j|| and the split form by up to 3.0.
+    j = twoj / 2.0
+    gen, _ = generator(spec, build_ledger(twoj or 2), (j,))
+    w, v = np.linalg.eigh(gen.bands(j).dense())
+    off_parity = np.add.outer(np.arange(twoj + 1), np.arange(twoj + 1)) % 2 == 1
+    for theta in (0.02, 1.0, np.pi, -np.pi):
+        want = (v * np.exp(-1j * theta * w)) @ v.conj().T
+        got = exponentiate(gen, theta)[j]
+        tol = 1e-14 + 8 * 2.2e-16 * abs(theta) * np.abs(w).max()
+        assert np.abs(got - want).max() <= tol, f"theta = {theta}"
+        assert not got.real[off_parity].any() and not got.imag[off_parity].any()
+        assert not np.signbit(got.real[off_parity]).any()
+        assert not np.signbit(got.imag[off_parity]).any()
+
+
+@pytest.mark.parametrize(
+    "spec", PARITY_SPECS, ids=lambda s: f"{s.kind}{''.join(s.axes)}{s.params[1:]}"
+)
+def test_parity_split_keeps_one_real_entry_per_block(spec, monkeypatch):
+    state = mixed_state(7)
+    cold = apply_gate(state, spec)
+    apply_gate(state, spec)
+    assert sorted(CACHE._entries) == sorted(
+        (int(2 * j),) + gates._gate_key(spec, 7) for j in state.active_js
+    )
+    for (twoj, *_), (w, v) in CACHE._entries.items():
+        assert w.dtype == v.dtype == np.float64
+        assert w.shape == (twoj + 1,) and v.shape == (twoj + 1, twoj // 2 + 1)
+    forbid_eigh(monkeypatch)
+    assert_states_equal(cold, apply_gate(state, spec))

@@ -10,8 +10,10 @@ from dickesim import (
     GATE_KINDS,
     Circuit,
     CircuitParseError,
+    CollectiveState,
     DomainError,
     GateSpec,
+    NumericError,
     apply_circuit,
     apply_gate,
     build_ledger,
@@ -262,6 +264,50 @@ def test_ladder_closed_form_matches_expm(twoj):
         assert np.abs(plus - want).max() <= 1e-13 * np.abs(plus).max()
         assert not np.tril(plus, -1).any()
         assert np.array_equal(minus, plus.T)
+
+
+def _ladder_loop(lad, angle):
+    """The term-by-term series, one superdiagonal per step, as the reference
+    for the one-call kernel: the same multiplications in the same order."""
+    d = lad.size + 1
+    k_mat = np.zeros((d, d), dtype=complex)
+    flat = k_mat.reshape(-1)
+    flat[:: d + 1] = 1.0
+    term = np.ones(d)
+    for k in range(1, d):
+        term = term[:-1] * lad[k - 1 :] * (angle / k)
+        if not term.any():
+            break  # every later term is zero too
+        flat[k :: d + 1][: d - k] = (1.0, -1j, -1.0, 1j)[k % 4] * term
+    return k_mat
+
+
+@pytest.mark.parametrize("twoj", [0, 1, 2, 8, 80, 300, 1000])
+def test_ladder_series_equals_the_term_by_term_loop(twoj):
+    # bit for bit wherever K is finite: the underflowed tail and the signed
+    # zeros included.  At 2j = 1000, |theta| = 3 the series overflows; both
+    # forms then give a non-finite K and the gate refuses the state.
+    from dickesim.dicke import spin_bands
+
+    j = twoj / 2.0
+    led = build_ledger(twoj + 2)
+    lad = spin_bands(twoj)["plus"].diags[1][:-1]
+    for theta in (0.05, -0.05, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            plus = exponentiate(*generator(GateSpec("R_PLUS", (theta,)), led, (j,)))[j]
+            minus = exponentiate(*generator(GateSpec("R_MINUS", (theta,)), led, (j,)))[j]
+            want = _ladder_loop(lad, theta)
+        assert minus.tobytes() == plus.T.tobytes()
+        if np.isfinite(want).all():
+            assert plus.tobytes() == want.tobytes(), f"theta = {theta}"
+            continue
+        assert twoj == 1000 and abs(theta) == 3.0
+        assert not np.isfinite(plus).all()
+        rho = np.zeros((twoj + 1, twoj + 1), dtype=complex)
+        rho[-1, -1] = 1.0  # m = -j
+        state = CollectiveState(led, {j: rho})
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+            apply_gate(state, GateSpec("R_PLUS", (theta,)))
 
 
 DIAGONAL_SPECS = (
