@@ -75,7 +75,20 @@ def _rows_csv(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_finite(flags: dict[str, float | None]) -> None:
+    """Reject a NaN or infinite float flag, by name, before any work."""
+    for flag, value in flags.items():
+        if value is not None and not np.isfinite(value):
+            raise DomainError(f"{flag} must be finite, got {value}")
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise DomainError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_run(args) -> int:
+    _check_seed(args.seed)
     circuit = _load_circuit(args.circuit)
     n = circuit.n_particles
     if args.oracle and n > FULL_SPACE_CAP:
@@ -134,6 +147,8 @@ def _squeeze_circuit(gate: str, n: int, theta: float, phi: float,
 def cmd_squeeze(args) -> int:
     if args.steps < 1:
         raise DomainError("--steps must be >= 1")
+    _check_finite({"--theta-min": args.theta_min, "--theta-max": args.theta_max,
+                   "--phi": args.phi, "--coupling": args.coupling})
     rows = []
     for theta in np.linspace(args.theta_min, args.theta_max, args.steps):
         circuit = _squeeze_circuit(
@@ -155,6 +170,7 @@ def cmd_squeeze(args) -> int:
 
 
 def cmd_vqa(args) -> int:
+    _check_seed(args.seed)
     ansatz = Ansatz(args.n, args.tnt_coupling)
     config = OptimizerConfig(
         kind=args.optimizer,
@@ -187,6 +203,7 @@ def cmd_vqa(args) -> int:
 def cmd_qpt(args) -> int:
     if args.steps < 2:
         raise DomainError("--steps must be >= 2")
+    _check_finite({"--lambda": args.lambda_param, "--r-min": args.r_min, "--r-max": args.r_max})
     if not args.r_min < args.r_max:
         raise DomainError("--r-min must be below --r-max")
     n = args.n

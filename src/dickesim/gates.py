@@ -27,19 +27,17 @@ call it:
 * {+1} (R_PLUS): the exact finite series of the nilpotent J_+, every term
   of every superdiagonal from one running product; {-1} (R_MINUS): the same
   series of its transpose, transposed back;
-* the quadratic rotations GMS(t, phi), RX2, RY2 and OAT with axis x or y:
-  G = D J_x^2 D^dag with D = exp(-i alpha J_z) = diag(p), p = e^{-i alpha m},
-  and alpha = phi, 0, pi/2, 0, pi/2.  One real eigenbasis (w, V) of the
-  tridiagonal J_x per 2j serves them all, at every angle and azimuth:
-  K_j[a, b] = p_a M[a, b] conj(p_b) with M = V e^{-i t w^2} V^T, and w is
-  J_x's exact spectrum -j, ..., j.  This is how Feng et al. compute Wigner's
-  d matrix (PRE 92, 043307 (2015));
-* the other Hermitian G with offsets {-2, 0, 2} (TAT over two of x, y, z
-  and TNT(x|y, z)): G_j is real and never couples storage indices of
-  different parity, so its even and odd indices are two real tridiagonal
-  halves with a real eigh each, and K_j is the checkerboard of the halves'
-  V_p e^{-i t w_p} V_p^T, each as two real products, with exact zeros
-  between the parities;
+* Hermitian G with offsets {-2, 0, 2}: a real R_j that never couples
+  storage indices of different parity, so its even and odd indices are two
+  real tridiagonal halves with a real eigh each.  TAT over two of x, y, z
+  and TNT(x|y, z) take R_j = G_j.  The quadratic rotations GMS(t, phi),
+  RX2, RY2 and OAT with axis x or y are G = D J_x^2 D^dag with
+  D = exp(-i alpha J_z) = diag(p), p = e^{-i alpha m}, and
+  alpha = phi, 0, pi/2, 0, pi/2, so R_j = J_x^2, whose spectrum is exactly
+  the m^2, serves them all, at every angle and azimuth, as Feng et al.
+  compute Wigner's d matrix (PRE 92, 043307 (2015)).  M is the checkerboard
+  of the halves' V_p e^{-i t w_p} V_p^T, each as two real products, with
+  exact zeros between the parities, and K_j[a, b] = p_a M[a, b] conj(p_b);
 * other Hermitian G (RX, RY, RN, TNT with second axis x or y): eigenpairs
   of the dense complex G_j;
 * other non-Hermitian G (TAT/TNT with a plus or minus axis): scipy's Pade
@@ -49,13 +47,13 @@ A non-Hermitian G gives a non-unitary K: the conjugated state is renormalized
 to unit trace and flagged ``conditional`` (the map is not trace preserving).
 
 The kernel keeps those eigenpairs in one byte-bounded LRU cache shared by
-every call; both halves of a split G_j are one real entry.  The J_x basis is
-keyed by 2j alone.  Any other G_j depends on 2j and on every gate parameter
-except the angle (and, for TNT, on N/Lambda), and so does its key; RN's
-azimuth is part of it.  A key is stored on its second
-request only, so gates whose azimuth is drawn afresh each time never fill it.
-A hit skips the generator build and the eigh, and gives K_j bit for bit as a
-miss does.
+every call; both halves of a split R_j are one real entry.  J_x^2's halves
+are keyed by 2j alone.  Any other G_j depends on 2j and on every gate
+parameter except the angle (and, for TNT, on N/Lambda), and so does its
+key; RN's azimuth is part of it.  A key is stored on its second request
+only, so gates whose azimuth is drawn afresh each time never fill it.  A hit
+skips the generator build and the eigh, and gives K_j bit for bit as a miss
+does.
 """
 
 from __future__ import annotations
@@ -142,6 +140,10 @@ class GateSpec:
         axes = self.axes
         if isinstance(axes, str):
             axes = _parse_axes(axes)
+        elif isinstance(axes, (tuple, list)) and all(isinstance(a, str) for a in axes):
+            axes = tuple(str(a) for a in axes)
+        elif axes is not None:
+            raise DomainError(f"{kind} axes must be a tag or a sequence of axis names")
         if axes_arity == 0:
             if axes:
                 raise DomainError(f"{kind} takes no axes")
@@ -359,7 +361,7 @@ def _quadratic_azimuth(spec: GateSpec) -> float | None:
 
 def _gate_key(spec: GateSpec, n_particles: int) -> tuple:
     """Everything a block generator's eigenpairs depend on besides 2j.  The
-    quadratic rotation kinds all use the eigenpairs of J_x: the empty key.
+    quadratic rotation kinds all use the eigenpairs of J_x^2: the empty key.
     Other kinds: the kind, the axes, every parameter but the angle (bit
     patterns, so -0.0 != 0.0) and, for TNT, the N/Lambda its recipe uses."""
     if _quadratic_azimuth(spec) is not None:
@@ -414,8 +416,9 @@ def generator(
 
 def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
     """K_j = exp(-i angle G_j), the one per-block kernel: the phase vector p
-    of K_j = diag(p), or the matrix K_j, in the form G's band offsets and
-    azimuth select (see the module docstring)."""
+    of K_j = diag(p), or the matrix K_j, in the form G's band offsets
+    select; an azimuth picks R_j = J_x^2 and the phase gauge (see the module
+    docstring)."""
     if gen.offsets == {0}:
         return np.exp(-1j * angle * gen.bands(j).diags[0])
     if gen.offsets == {1}:
@@ -428,36 +431,30 @@ def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
         return expm(-1j * angle * gen.bands(j).dense())
     twoj = _twoj(j)
     key = (twoj,) + gen.key
-    split = gen.azimuth is None and gen.offsets <= _PARITY_OFFSETS
+    split = gen.offsets <= _PARITY_OFFSETS
     pair, admit = _EIGENPAIRS.lookup(key)
     if pair is None:
-        if gen.azimuth is not None:  # the real J_x, spectrum exactly -j, ..., j
-            pair = (np.arange(twoj + 1) - j, _eigh(spin_bands(twoj)["x"].dense().real, j)[1])
-        elif split:
-            pair = _parity_eigh(gen.bands(j), j)
-        else:
+        if not split:
             pair = _eigh(gen.bands(j).dense(), j)
+        elif gen.azimuth is None:  # R_j = G_j
+            pair = _parity_eigh(gen.bands(j), j)
+        else:  # R_j = J_x^2, whose halves' spectra are exactly the m^2, ascending
+            v = _parity_eigh(_sq(spin_bands(twoj)["x"]), j)[1]
+            pair = np.sort(np.square(j - np.arange(twoj + 1))), v
         if admit:
             _EIGENPAIRS.store(key, *pair)
     w, v = pair
     if split:
-        # a checkerboard: each parity's block V_p e^{-i t w_p} V_p^T as two
-        # real products, exact zeros between the parities
+        # M, a checkerboard: each parity's block V_p e^{-i t w_p} V_p^T as
+        # two real products, exact zeros between the parities; then, for an
+        # azimuth alpha != 0, K = D M D^dag with D = diag(p), p = e^{-i alpha m}
         k = np.zeros((twoj + 1, twoj + 1), dtype=complex)
         for p in (0, 1):
             vp = v[p::2, : (twoj + 2 - p) // 2]
             phase = angle * w[p::2]
             k.real[p::2, p::2] = (vp * np.cos(phase)) @ vp.T
             k.imag[p::2, p::2] = (vp * -np.sin(phase)) @ vp.T
-        return k
-    if gen.azimuth is not None:
-        # K = D M D^dag with M = V e^{-i t w^2} V^T, whose real and imaginary
-        # parts are two real products, and D = diag(p), p = e^{-i alpha m}
-        phase = angle * (w * w)
-        k = np.empty((twoj + 1, twoj + 1), dtype=complex)
-        k.real = (v * np.cos(phase)) @ v.T
-        k.imag = (v * -np.sin(phase)) @ v.T
-        if gen.azimuth != 0.0:
+        if gen.azimuth:
             p = np.exp(-1j * gen.azimuth * (j - np.arange(twoj + 1)))
             k *= p[:, None]
             k *= p.conj()
@@ -524,6 +521,10 @@ def apply_circuit(circuit: Circuit, initial: CollectiveState) -> CollectiveState
     return state
 
 
+def _is_number(value) -> bool:  # a JSON number: int or float, not a bool
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def circuit_from_json(text: str) -> Circuit:
     """Parse {"n": int, "gates": [{"kind", "params", "axes"?, "noise"?}]}."""
     try:
@@ -539,7 +540,7 @@ def circuit_from_json(text: str) -> Circuit:
         gates = doc["gates"]
     except KeyError as exc:
         raise CircuitParseError(f"missing required key {exc.args[0]!r}") from None
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise CircuitParseError(f'"n" must be a positive integer, got {n!r}')
     if not isinstance(gates, list):
         raise CircuitParseError('"gates" must be a list')
@@ -547,19 +548,16 @@ def circuit_from_json(text: str) -> Circuit:
     for pos, entry in enumerate(gates, start=1):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise CircuitParseError(f'gate #{pos} must be an object with a "kind"')
-        params = entry.get("params", [])
-        if not isinstance(params, list) or not all(
-            isinstance(p, (int, float)) and not isinstance(p, bool) for p in params
-        ):
+        params, axes, noise = entry.get("params", []), entry.get("axes"), entry.get("noise")
+        if not isinstance(params, list) or not all(_is_number(p) for p in params):
             raise CircuitParseError(f'gate #{pos}: "params" must be a list of numbers')
+        if axes is not None and not isinstance(axes, str):
+            raise CircuitParseError(f'gate #{pos}: "axes" must be a string, got {axes!r}')
+        if noise is not None and not _is_number(noise):
+            raise CircuitParseError(f'gate #{pos}: "noise" must be a number, got {noise!r}')
         try:
             specs.append(
-                GateSpec(
-                    kind=str(entry["kind"]),
-                    params=tuple(params),
-                    axes=entry.get("axes"),
-                    noise=entry.get("noise"),
-                )
+                GateSpec(kind=str(entry["kind"]), params=tuple(params), axes=axes, noise=noise)
             )
         except DomainError as exc:
             raise CircuitParseError(f"gate #{pos}: {exc}") from None

@@ -116,6 +116,36 @@ class TestRun:
         path.write_text(tnt % "Infinity")
         assert main(["run", str(path)]) == 0
 
+    @pytest.mark.parametrize("gate", [
+        '"TAT", "params": [0.1], "axes": ["x", "y"]',
+        '"OAT", "params": [0.1], "axes": 5',
+        '"RX", "params": [0.1], "noise": true',
+        '"RX", "params": [0.1], "noise": "0.1"',
+    ])
+    def test_mistyped_gate_field_exit_3(self, tmp_path, capsys, gate):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 4, "gates": [{"kind": %s}]}' % gate)
+        out = tmp_path / "p.csv"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: gate #1: ")
+        assert captured.out == "" and not out.exists()
+
+    def test_boolean_n_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": true, "gates": []}')
+        assert main(["run", str(path)]) == 3
+        assert '"n" must be a positive integer' in capsys.readouterr().err
+
+    def test_negative_seed_exit_2(self, circuit_file, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        argv = ["run", circuit_file, "--shots", "5", "--seed", "-1"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be >= 0, got -1\n" * 2
+        assert captured.out == "" and not out.exists()
+
     def test_missing_file_exit_3(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 3
 
@@ -164,6 +194,16 @@ class TestSqueeze:
 
     def test_bad_steps(self, capsys):
         assert main(["squeeze", "--n", "4", "--steps", "0"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--theta-min", "--theta-max", "--phi", "--coupling"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_flag_named_before_any_gate(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "sq.csv"
+        argv = ["squeeze", "--n", "4", "--steps", "2", "--gate", "tnt", "--out", str(out)]
+        assert main(argv + [f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} must be finite, got {float(value)}\n"
+        assert captured.out == "" and not out.exists()
 
 
 class TestVqa:
@@ -224,6 +264,19 @@ class TestVqa:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys, monkeypatch):
+        from dickesim import vqa
+
+        def no_cost(theta, ansatz):
+            raise AssertionError("cost evaluated")
+
+        monkeypatch.setattr(vqa, "cost", no_cost)
+        out = tmp_path / "vqa.csv"
+        assert main(["vqa", "--n", "6", "--seed", "-1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be >= 0, got -1\n"
+        assert captured.out == "" and not out.exists()
+
     def test_table1_zero_tnt_angle(self, capsys):
         # t2 = 0 makes the TNT gate the identity under either coupling reading
         assert main(["vqa", "--n", "10", "--tnt-coupling", "table1",
@@ -248,6 +301,16 @@ class TestQpt:
         assert main(["qpt", "--n", "4", "--steps", "3", f"--lambda={value}"]) == 2
         captured = capsys.readouterr()
         assert "must be finite" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--lambda", "--r-min", "--r-max"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_flag_named_before_any_gate(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "qpt.csv"
+        argv = ["qpt", "--n", "4", "--steps", "3", "--out", str(out)]
+        assert main(argv + [f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} must be finite, got {float(value)}\n"
+        assert captured.out == "" and not out.exists()
 
     def test_step_domain(self, capsys):
         assert main(["qpt", "--n", "4", "--steps", "1"]) == 2

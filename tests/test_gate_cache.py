@@ -2,12 +2,15 @@
 
 Hermitian, non-diagonal block generators keep their eigenpairs (w, V) in one
 byte-bounded LRU cache keyed by (2j, kind, axes, every parameter but the
-angle[, N/Lambda]).  The quadratic rotations (GMS, RX2, RY2, OAT x|y) share
-the real eigenbasis of J_x, keyed by (2j,) alone; TAT over x/y/z pairs and
-TNT(x|y, z) keep their two real parity halves as one entry.  A key is stored
-on its second request, and a hit must give states bit-identical to a cold
-cache.
+angle[, N/Lambda]).  Every Hermitian generator with band offsets {-2, 0, 2}
+keeps the two real parity halves of one real matrix as one entry: the
+quadratic rotations (GMS, RX2, RY2, OAT x|y) share those of J_x^2, keyed by
+(2j,) alone; TAT over x/y/z pairs and TNT(x|y, z) decompose G_j itself.  A
+key is stored on its second request, and a hit must give states
+bit-identical to a cold cache.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -292,17 +295,20 @@ QUADRATIC_SPECS = tuple(GateSpec("GMS", (1.0, phi)) for phi in (0.0, 0.7, -2.3, 
     "spec", QUADRATIC_SPECS, ids=lambda s: f"{s.kind}{''.join(s.axes or ())}{s.params[1:]}"
 )
 def test_shared_basis_matches_dense_eigh(spec, twoj):
-    # K from the J_x basis against exp(-i t G_j) from a dense complex eigh of
-    # G_j itself.  The reference's roundoff grows with |t| ||G_j||, about
-    # |t| j(j+1) ulps, so the bound does too.
+    # K from the halves of J_x^2 against exp(-i t G_j) from a dense complex
+    # eigh of G_j itself.  The reference's roundoff grows with |t| ||G_j||,
+    # about |t| j(j+1) ulps, so the bound does too.  The entries that join the
+    # two parities are zero by value (the azimuth's phases may leave -0).
     j = twoj / 2.0
     gen, _ = generator(spec, build_ledger(twoj or 2), (j,))
     w, v = np.linalg.eigh(gen.bands(j).dense())
+    off_parity = np.add.outer(np.arange(twoj + 1), np.arange(twoj + 1)) % 2 == 1
     for theta in (0.02, 1.0, np.pi, -np.pi):
         want = (v * np.exp(-1j * theta * w)) @ v.conj().T
         got = exponentiate(gen, theta)[j]
         tol = 1e-14 + 4 * 2.2e-16 * abs(theta) * j * (j + 1)
         assert np.abs(got - want).max() <= tol, f"theta = {theta}"
+        assert np.all(got[off_parity] == 0), f"theta = {theta}"
 
 
 def test_quadratic_kinds_share_one_entry_per_block(monkeypatch):
@@ -321,6 +327,61 @@ def test_quadratic_kinds_share_one_entry_per_block(monkeypatch):
     for spec, hit in zip(specs, hits):
         CACHE.clear()
         assert_states_equal(hit, apply_gate(state, spec))
+
+
+def test_large_block_keeps_one_half_size_entry(monkeypatch):
+    # the halves of J_x^2 at 2j = 1000 take 3.83 MiB, inside the budget, and
+    # serve a GMS at any other azimuth and angle without an eigh
+    j = 500.0
+    ledger = build_ledger(1000)
+    gen, theta = generator(GateSpec("GMS", (0.3, 0.4)), ledger, (j,))
+    for _ in range(2):
+        exponentiate(gen, theta)
+    assert list(CACHE._entries) == [(1000,)]
+    w, v = CACHE._entries[(1000,)]
+    assert w.dtype == v.dtype == np.float64
+    assert w.shape == (1001,) and v.shape == (1001, 501)
+    assert np.array_equal(w, np.sort(np.square(j - np.arange(1001))))  # exactly the m^2
+    gen, theta = generator(GateSpec("GMS", (-1.1, 2.5)), ledger, (j,))
+    with monkeypatch.context() as patch:
+        forbid_eigh(patch)
+        hit = exponentiate(gen, theta)[j]
+    CACHE.clear()
+    assert hit.tobytes() == exponentiate(gen, theta)[j].tobytes()
+
+
+def _hermitian_parity_specs():
+    """Every catalog kind x axes whose generator is Hermitian with band
+    offsets in {-2, 0, 2}, at arbitrary parameters."""
+    specs = []
+    for kind, (n_params, arity) in gates.GATE_KINDS.items():
+        allowed = gates._SINGLE_AXES if kind == "OAT" else gates._ALL_AXES
+        for axes in itertools.product(allowed, repeat=arity):
+            spec = GateSpec(kind, (0.7, -1.3)[:n_params], axes or None)
+            gen, _ = generator(spec, build_ledger(2))
+            if gen.hermitian and gen.offsets <= gates._PARITY_OFFSETS:
+                specs.append(spec)
+    return specs
+
+
+@pytest.mark.parametrize(
+    "spec", _hermitian_parity_specs(), ids=lambda s: f"{s.kind}{''.join(s.axes or ())}"
+)
+def test_parity_split_decomposes_a_real_matrix(spec, monkeypatch):
+    # _parity_eigh keeps the real part of the matrix it is given, so that
+    # matrix (G_j, or J_x^2 for the quadratic rotations) must be real
+    split, seen = gates._parity_eigh, []
+
+    def real_only(r, j):
+        for diag in r.diags.values():
+            assert not np.iscomplexobj(diag) or not diag.imag.any(), f"j = {j}"
+        seen.append(j)
+        return split(r, j)
+
+    monkeypatch.setattr(gates, "_parity_eigh", real_only)
+    gen, theta = generator(spec, build_ledger(9))
+    exponentiate(gen, theta)
+    assert seen == ([] if gen.offsets == {0} else list(gen.js))
 
 
 # the kinds whose real G_j keeps the parity of m: TAT over two distinct axes

@@ -219,6 +219,28 @@ def test_json_parse_errors():
         )
     with pytest.raises(CircuitParseError):
         circuit_from_json(json.dumps({"n": 2, "gates": [{"kind": "RX", "params": [True]}]}))
+    # field types: axes is a tag string, noise a number, n an integer
+    for gate in (
+        {"kind": "TAT", "params": [0.1], "axes": ["x", "y"]},
+        {"kind": "OAT", "params": [0.1], "axes": 5},
+        {"kind": "RX", "params": [0.1], "noise": True},
+        {"kind": "RX", "params": [0.1], "noise": "0.1"},
+    ):
+        doc = {"n": 2, "gates": [{"kind": "RZ", "params": [0.1]}, gate]}
+        with pytest.raises(CircuitParseError, match="gate #2: "):
+            circuit_from_json(json.dumps(doc))
+    with pytest.raises(CircuitParseError, match='"n"'):
+        circuit_from_json(json.dumps({"n": True, "gates": []}))
+
+
+def test_gatespec_axes_are_a_tuple_of_str():
+    for axes in ("x,y", ["x", "y"], ("x", "y"), [np.str_("x"), "y"]):
+        spec = GateSpec("TAT", (0.1,), axes=axes)
+        assert spec.axes == ("x", "y") and all(type(a) is str for a in spec.axes)
+        hash(spec.axes)
+    for axes in (5, ["x", 5], {"x", "y"}, b"xy"):
+        with pytest.raises(DomainError):
+            GateSpec("TAT", (0.1,), axes=axes)
 
 
 # -------------------------------------------------- random-circuit checks
