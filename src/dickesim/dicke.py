@@ -8,7 +8,10 @@ multiplicity d_N^j; the multiplicity copies are never told apart by collective
 dynamics, so they are folded into effective amplitudes and the counts are not
 stored (``degeneracy`` computes one on demand).  A state is then a
 block-diagonal density matrix rho = (+)_j rho_j of total side (N+2)^2/4
-(even N) or (N+3)(N+1)/4 (odd N) instead of 2^N.
+(even N) or (N+3)(N+1)/4 (odd N) instead of 2^N.  A pure state in one block,
+as the state constructors below make and noiseless gates keep, is held as its
+ket psi of side 2j+1 (Chase & Geremia, PRA 78, 052101 (2008)); its block
+rho_j = psi psi^dagger is built only when a reader asks for it.
 
 Conventions used throughout:
 
@@ -230,9 +233,15 @@ class CollectiveState:
     (R_plus / R_minus) and were renormalized, i.e. post-selected evolution.
     The blocks are read-only, so ``_moments`` keeps the measurement layer's
     moment pair once it has been read.
+
+    A state made by ``_pure`` is held as a ket: ``_ket`` is (j, psi) with psi
+    read-only, and its one block rho_j = psi psi^dagger is built on the first
+    ``block``, ``items`` or ``trace`` read and kept (two threads reading it
+    first may both build it; the copies are equal bit for bit).  ``_ket`` is
+    None for a state built from blocks, rank-1 ones included.
     """
 
-    __slots__ = ("ledger", "_blocks", "conditional", "_moments")
+    __slots__ = ("ledger", "_blocks", "_ket", "conditional", "_moments")
 
     def __init__(
         self,
@@ -252,8 +261,32 @@ class CollectiveState:
             by_index[idx] = _freeze(mat)
         self.ledger = ledger
         self._blocks = {idx: by_index[idx] for idx in sorted(by_index)}
+        self._ket = None
         self.conditional = bool(conditional)
         self._moments = None
+
+    @classmethod
+    def _pure(
+        cls, ledger: BlockLedger, j: float, psi: np.ndarray, conditional: bool = False
+    ) -> "CollectiveState":
+        """The pure state psi of block j, held as its ket; psi is frozen in
+        place, so the caller hands over an array it no longer writes."""
+        psi = _freeze(psi)
+        if psi.shape != (ledger.blocks[ledger.block_index(j)].dim,):
+            raise DomainError(f"ket for block j = {j} has shape {psi.shape}")
+        state = cls.__new__(cls)
+        state.ledger = ledger
+        state._blocks = None
+        state._ket = (j, psi)
+        state.conditional = bool(conditional)
+        state._moments = None
+        return state
+
+    def _dense(self) -> dict[int, np.ndarray]:
+        if self._blocks is None:
+            j, psi = self._ket
+            self._blocks = {self.ledger.block_index(j): _freeze(_ket_density(psi))}
+        return self._blocks
 
     @property
     def n_particles(self) -> int:
@@ -261,18 +294,32 @@ class CollectiveState:
 
     @property
     def active_js(self) -> tuple[float, ...]:
+        if self._ket is not None:
+            return (self._ket[0],)
         return tuple(self.ledger.blocks[i].j for i in self._blocks)
 
     def block(self, j: float) -> np.ndarray | None:
-        return self._blocks.get(self.ledger.block_index(j))
+        return self._dense().get(self.ledger.block_index(j))
 
     def items(self) -> Iterable[tuple[float, np.ndarray]]:
         """(j, rho_j) pairs in descending-j order."""
-        for idx, mat in self._blocks.items():
+        for idx, mat in self._dense().items():
             yield self.ledger.blocks[idx].j, mat
 
     def trace(self) -> float:
-        return float(sum(np.trace(m).real for m in self._blocks.values()))
+        return float(sum(np.trace(m).real for m in self._dense().values()))
+
+
+def _ket_density(psi: np.ndarray) -> np.ndarray:
+    """psi psi^dagger, Hermitian bit for bit: with psi = x + iy its real part
+    x x^T + y y^T is symmetric and its imaginary part y x^T - x y^T
+    antisymmetric entry by entry, which a complex outer product is not where
+    the multiply fuses."""
+    x, y = psi.real, psi.imag
+    rho = np.empty((psi.size, psi.size), dtype=complex)
+    np.add(np.outer(x, x), np.outer(y, y), out=rho.real)
+    np.subtract(np.outer(y, x), np.outer(x, y), out=rho.imag)
+    return rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,9 +433,9 @@ def op_jy(ledger: BlockLedger) -> CollectiveOperator:
 
 
 def _pure_top_block_state(n_particles: int, amplitudes: np.ndarray) -> CollectiveState:
+    """The pure state ``amplitudes`` of the j = N/2 block, held as its ket."""
     ledger = build_ledger(n_particles)
-    amp = np.asarray(amplitudes, dtype=complex)
-    return CollectiveState(ledger, {ledger.j_max: np.outer(amp, amp.conj())})
+    return CollectiveState._pure(ledger, ledger.j_max, amplitudes)
 
 
 def ground_state(n_particles: int) -> CollectiveState:

@@ -45,6 +45,9 @@ call it:
 
 A non-Hermitian G gives a non-unitary K: the conjugated state is renormalized
 to unit trace and flagged ``conditional`` (the map is not trace preserving).
+A state held as a ket (see ``dicke``) takes the same K_j as one matrix-vector
+product K psi, or p * psi for a phase vector, instead of the two matrix
+products of K rho K^dag; a non-unitary K's ket is renormalized to unit norm.
 
 The kernel keeps those eigenpairs in one byte-bounded LRU cache shared by
 every call; both halves of a split R_j are one real entry.  J_x^2's halves
@@ -475,32 +478,45 @@ def exponentiate(
     return {j: np.diag(k) if k.ndim == 1 else k for j, k in ks.items()}
 
 
+def _normalization(total: float, kind: str) -> float:
+    if not np.isfinite(total) or total <= 0.0:
+        raise NumericError(f"{kind} produced an unnormalizable state")
+    return total
+
+
 def apply_gate(state: CollectiveState, spec: GateSpec) -> CollectiveState:
-    """rho -> K rho K^dag per active block, then the optional noise channel.
+    """rho -> K rho K^dag per active block, or psi -> K psi for a state held
+    as a ket, then the optional noise channel.
 
     Each active block is handled on its own: its K_j is formed by
     ``_propagator``, applied and dropped; a phase vector p acts as the
-    elementwise product rho * (p p^dag).  Unitary gates leave the active
-    block set unchanged; a noise step may activate neighboring blocks.  A
-    non-unitary K's result is renormalized and flagged conditional.
+    elementwise product rho * (p p^dag), or p * psi.  Unitary gates leave the
+    active block set unchanged; a noise step reads rho and may activate
+    neighboring blocks.  A non-unitary K's result is renormalized (rho by its
+    trace, psi by its norm) and flagged conditional; a ket stays a ket.
     """
     gen, angle = generator(spec, state.ledger, state.active_js)
-    blocks = {}
-    for j, rho in state.items():
+    conditional = state.conditional or not gen.hermitian
+    if state._ket is not None:
+        j, psi = state._ket
         k = _propagator(gen, angle, j)
-        if k.ndim == 1:
-            blocks[j] = rho * np.outer(k, k.conj())
-        else:
-            t = k @ rho
-            blocks[j] = t @ np.conjugate(k, out=k).T  # k is this call's own array
-    conditional = state.conditional
-    if not gen.hermitian:
-        total = sum(np.trace(b).real for b in blocks.values())
-        if not np.isfinite(total) or total <= 0.0:
-            raise NumericError(f"{spec.kind} produced an unnormalizable state")
-        blocks = {j: b / total for j, b in blocks.items()}
-        conditional = True
-    out = CollectiveState(state.ledger, blocks, conditional)
+        psi = k * psi if k.ndim == 1 else k @ psi
+        if not gen.hermitian:
+            psi /= _normalization(np.linalg.norm(psi), spec.kind)
+        out = CollectiveState._pure(state.ledger, j, psi, conditional)
+    else:
+        blocks = {}
+        for j, rho in state.items():
+            k = _propagator(gen, angle, j)
+            if k.ndim == 1:
+                blocks[j] = rho * np.outer(k, k.conj())
+            else:
+                t = k @ rho
+                blocks[j] = t @ np.conjugate(k, out=k).T  # k is this call's own array
+        if not gen.hermitian:
+            total = _normalization(sum(np.trace(b).real for b in blocks.values()), spec.kind)
+            blocks = {j: b / total for j, b in blocks.items()}
+        out = CollectiveState(state.ledger, blocks, conditional)
     if spec.noise is not None and spec.noise > 0.0:
         from .noise import depolarize
 

@@ -3,8 +3,9 @@ and Husimi grids.
 
 First and second moments of J are read in closed form from the main, first
 and second diagonals of each active block (J_z is diagonal, J_+/J_- shift m by
-one), so no operator matrix is built and a moment costs O(2j+1) per block.
-A state's moments are computed once and kept with it.
+one), or from the shifted entries of a ket, so no operator matrix is built and
+a moment costs O(2j+1) per block.  A state's moments are computed once and
+kept with it.
 
 The Husimi grid uses that coherent amplitudes factorize into a radial part
 r_a(theta) and a phase e^{i a phi}: Q(theta, phi) = s_0 + 2 Re sum_{k>0}
@@ -131,7 +132,9 @@ def moments(state: CollectiveState) -> tuple[np.ndarray, np.ndarray]:
     Both are complex (the second moment is not symmetric: <J_x J_y> -
     <J_y J_x> = i<J_z>).  With l_k = <m_k|J_+|m_k - 1> the superdiagonal of
     J_+ (storage index k, m_k = j - k), every <L_s L_t> for L in (J_+, J_-,
-    J_z) is a weighted sum over one diagonal of rho_j; the x, y, z moments
+    J_z) is a weighted sum over one diagonal of rho_j.  For a state held as a
+    ket psi they are <L_s L_t> = (L_s^dag psi)^dag (L_t psi), from the three
+    O(2j) vectors L psi, and rho_j is never built.  The x, y, z moments
     follow by a 3x3 change of basis.  The pair is computed once per state and
     returned read-only.
     """
@@ -141,6 +144,33 @@ def moments(state: CollectiveState) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _compute_moments(state: CollectiveState) -> tuple[np.ndarray, np.ndarray]:
+    if state._ket is not None:
+        first, second = _ket_moments(state._ket[1])
+    else:
+        first, second = _block_moments(state)
+    t = _FROM_LADDER
+    pair = (t @ first, t @ second @ t.T)
+    for a in pair:
+        a.flags.writeable = False
+    return pair
+
+
+def _ket_moments(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(<L_t>, <L_s L_t>) for L in (J_+, J_-, J_z) of the ket psi."""
+    bands = spin_bands(psi.size - 1)
+    m, lad = bands["z"].diags[0], bands["plus"].diags[1][:-1]
+    raised, lowered = np.zeros_like(psi), np.zeros_like(psi)
+    raised[:-1] = lad * psi[1:]  # J_+ raises m, to the lower storage index
+    lowered[1:] = lad * psi[:-1]
+    ls = (raised, lowered, m * psi)
+    first = np.array([np.vdot(psi, v) for v in ls])
+    # L_s^dag psi is J_- psi, J_+ psi, J_z psi for s = +, -, z
+    second = np.array([[np.vdot(ls[s], v) for v in ls] for s in (1, 0, 2)])
+    return first, second
+
+
+def _block_moments(state: CollectiveState) -> tuple[np.ndarray, np.ndarray]:
+    """(<L_t>, <L_s L_t>) for L in (J_+, J_-, J_z), summed over the blocks."""
     first = np.zeros(3, dtype=complex)   # <J_+>, <J_->, <J_z>
     second = np.zeros((3, 3), dtype=complex)
     for _, rho in state.items():
@@ -155,11 +185,7 @@ def _compute_moments(state: CollectiveState) -> tuple[np.ndarray, np.ndarray]:
             (d0[1:] @ lad**2, rho.diagonal(2) @ lad2, above @ (lad * m[:-1])),
             (below @ (lad * m[:-1]), above @ (lad * m[1:]), d0 @ m**2),
         )
-    t = _FROM_LADDER
-    pair = (t @ first, t @ second @ t.T)
-    for a in pair:
-        a.flags.writeable = False
-    return pair
+    return first, second
 
 
 def expval(state: CollectiveState, observable: str) -> complex | float:

@@ -1,7 +1,7 @@
 """Variational squeezing loop: cost = xi^2_S of a fixed three-parameter
 ansatz, finite-difference gradients, and GD / Adam / QNG optimizers.  QNG
-reads the ansatz's ket straight off its rank-1 density block; the only
-eigendecomposition it adds is the one of its small metric.
+reads the ansatz's ket straight off the state, which noiseless gates keep as
+a ket; the only eigendecomposition it adds is the one of its small metric.
 
 ``fit`` runs each distinct circuit once.  The 2*dim probe states of an
 iteration give the gradient their costs and, under QNG, the metric their
@@ -236,22 +236,17 @@ class _AnsatzRunner:
 
 
 def _read_ket(circuit: Circuit, state: CollectiveState) -> np.ndarray:
-    """Pure-state vector of a noiseless ansatz state, read off its rank-1 top
-    block rho = psi psi^dagger: column p over sqrt(rho_pp), with p the largest
-    diagonal entry, so psi_p is real and positive."""
+    """Pure-state vector of a noiseless ansatz state, the ket it is held as,
+    in the gauge where psi_p is real and positive at p = argmax |psi_p|^2."""
     if any(spec.noise for spec in circuit.instructions):
         raise UnsupportedConfigError("QNG metric needs a noiseless (pure) ansatz")
-    js = state.active_js
-    if len(js) != 1:
-        raise UnsupportedConfigError("QNG metric needs a single-block pure state")
-    rho = state.block(js[0])
-    purity = np.vdot(rho, rho).real  # tr rho^2 of a Hermitian block
-    if purity < 1.0 - 1e-8:
+    if state._ket is None:
         raise UnsupportedConfigError(
-            f"state is mixed (purity {purity:.6f}); QNG unsupported"
+            "state is held as a density matrix, possibly mixed; QNG needs a pure ket"
         )
-    p = int(np.argmax(rho.diagonal().real))
-    return rho[:, p] / np.sqrt(rho[p, p].real)
+    psi = state._ket[1]
+    pivot = psi[int(np.argmax(np.abs(psi)))]
+    return psi * (pivot.conjugate() / abs(pivot))
 
 
 def _align(vec: np.ndarray, reference: np.ndarray) -> np.ndarray:

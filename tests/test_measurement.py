@@ -161,15 +161,17 @@ class TestExpval:
             expval(state, "Jz")
 
     def test_one_moments_pass_per_state(self, monkeypatch):
-        # a moments pass walks the state's blocks once; later reads reuse it
+        # a moments pass reads the state once; later reads reuse it
+        from dickesim import measurement
+
         passes = []
-        items = CollectiveState.items
+        compute = measurement._compute_moments
 
-        def counted(self):
-            passes.append(self)
-            return items(self)
+        def counted(state):
+            passes.append(state)
+            return compute(state)
 
-        monkeypatch.setattr(CollectiveState, "items", counted)
+        monkeypatch.setattr(measurement, "_compute_moments", counted)
         state = css_state(10, 0.7, 1.9)
         values = [expval(state, name) for name in ("Jz", "Jx2", "Jy2")]
         assert len(passes) == 1

@@ -131,3 +131,45 @@ class TestOracleAgreement:
         want = oracle_extract(full_run(circuit), n)
         if want["xi2_S"] is not None:
             assert get_xi_2_S(state) == pytest.approx(want["xi2_S"], abs=1e-8)
+
+
+def kitagawa_ueda_xi2(n, theta):
+    """xi^2_S after OAT(theta, z) on an equatorial coherent state, in closed
+    form (Kitagawa & Ueda, PRA 47, 5138 (1993)): 1 + (N-1)/4 (A - sqrt(A^2 +
+    B^2)) with A = 1 - cos^(N-2)(2 theta) and B = 4 sin theta cos^(N-2) theta.
+
+    cos^(N-2) x is exp((N-2) log1p(-2 sin^2(x/2))), so a cosine near one
+    keeps its digits, and A - sqrt(A^2 + B^2) is -B^2/(A + sqrt(A^2 + B^2)),
+    which does not cancel."""
+    def log_cos(x):
+        return np.log1p(-2.0 * np.sin(x / 2.0) ** 2)
+
+    a = -np.expm1((n - 2) * log_cos(2.0 * theta))
+    b = 4.0 * np.sin(theta) * np.exp((n - 2) * log_cos(theta))
+    return 1.0 - (n - 1) / 4.0 * b * b / (a + np.hypot(a, b))
+
+
+class TestOneAxisTwistingClosedForm:
+    @staticmethod
+    def thetas(n):
+        # a decade below to five times past the squeezing minimum, which
+        # sits near 24^(1/6) (N/2)^(-2/3) / 2
+        at_min = 0.5 * 24.0 ** (1.0 / 6.0) * (n / 2.0) ** (-2.0 / 3.0)
+        return np.geomspace(at_min / 10.0, 5.0 * at_min, 7)
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_large_n_matches_closed_form(self, n):
+        thetas = self.thetas(n)
+        want = kitagawa_ueda_xi2(n, thetas)
+        assert 0 < int(np.argmin(want)) < thetas.size - 1  # the grid spans the minimum
+        start = css_state(n, np.pi / 2, 0.0)
+        for theta, xi in zip(thetas, want):
+            state = apply_circuit(Circuit(n, (GateSpec("OAT", (theta,), axes="z"),)), start)
+            assert get_xi_2_S(state) == pytest.approx(xi, rel=1e-12, abs=0.0)
+
+    def test_rotation_prepared_point(self):
+        # the ansatz's preparation: RN(pi/2, 0) on the ground state's ket
+        n = 1000
+        theta = self.thetas(n)[3]
+        got = get_xi_2_S(oat_state(n, theta))
+        assert got == pytest.approx(kitagawa_ueda_xi2(n, theta), rel=1e-12, abs=0.0)
