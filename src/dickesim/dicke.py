@@ -269,15 +269,13 @@ class CollectiveState:
     def _pure(
         cls, ledger: BlockLedger, j: float, psi: np.ndarray, conditional: bool = False
     ) -> "CollectiveState":
-        """The pure state psi of block j, held as its ket; psi is frozen in
-        place, so the caller hands over an array it no longer writes."""
-        psi = _freeze(psi)
-        if psi.shape != (ledger.blocks[ledger.block_index(j)].dim,):
-            raise DomainError(f"ket for block j = {j} has shape {psi.shape}")
+        """The pure state psi, of side 2j + 1, of block j, held as its ket;
+        psi is frozen in place, so the caller hands over an array it no
+        longer writes."""
         state = cls.__new__(cls)
         state.ledger = ledger
         state._blocks = None
-        state._ket = (j, psi)
+        state._ket = (j, _freeze(psi))
         state.conditional = bool(conditional)
         state._moments = None
         return state

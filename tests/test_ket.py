@@ -75,8 +75,9 @@ def assert_moments_agree(a, b):
 
 def formed_once(propagator):
     """The kernel, forming each K_j once per (generator key, block) and
-    handing out copies: the ket and rho paths, with and without noise, then
-    apply one K_j, as they would bit for bit, at a quarter of the cost."""
+    handing out copies.  The kernel is deterministic, so every start state's
+    ket and rho paths, with and without noise, apply the K_j they would
+    apply anyway, formed once instead of up to twelve times."""
     formed = {}
 
     def once(gen, angle, j):
