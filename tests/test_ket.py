@@ -42,12 +42,14 @@ def catalog_specs(twoj):
     """One gate of every catalog kind and axis pair.  A non-unitary gate's
     angle shrinks with the block as 1/(j+1)^degree, so K stays within a few
     decades and rho's two products lose no more than psi's one."""
-    j = twoj / 2.0
+    choices = {0: [None], 1: list(AXES_SINGLE), 2: list(itertools.product(AXES_ALL, repeat=2))}
     for kind, (n_params, arity) in GATE_KINDS.items():
-        choices = {0: [None], 1: list(AXES_SINGLE), 2: list(itertools.product(AXES_ALL, repeat=2))}
         for axes in choices[arity]:
-            ladder = kind in ("R_PLUS", "R_MINUS") or bool(set(axes or ()) & {"plus", "minus"})
-            angle = 0.7 / (j + 1.0) ** (1 if kind.startswith("R_") else 2) if ladder else 0.7
+            angle = 0.7
+            if kind in ("R_PLUS", "R_MINUS"):
+                angle /= twoj / 2.0 + 1.0
+            elif {"plus", "minus"} & set(axes or ()):
+                angle /= (twoj / 2.0 + 1.0) ** 2
             params = (angle, 2.5 if kind == "TNT" else 0.8)[:n_params]
             yield GateSpec(kind, params, axes=axes)
 
