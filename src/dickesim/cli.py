@@ -126,22 +126,19 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _squeeze_circuit(gate: str, n: int, theta: float, phi: float,
-                     coupling: float | None, reading: str) -> Circuit:
+def _squeeze_twist(gate: str, n: int, theta: float, phi: float,
+                   coupling: float | None, reading: str) -> GateSpec:
     if gate == "gms":
-        return Circuit(n, (GateSpec("GMS", (theta, phi)),))
-    prep = GateSpec("RN", (np.pi / 2.0, 0.0))
+        return GateSpec("GMS", (theta, phi))
     if gate == "oat":
-        twist = GateSpec("OAT", (theta,), axes="z")
-    elif gate == "tat":
-        twist = GateSpec("TAT", (theta,), axes="zy")
-    elif gate == "tnt":
+        return GateSpec("OAT", (theta,), axes="z")
+    if gate == "tat":
+        return GateSpec("TAT", (theta,), axes="zy")
+    if gate == "tnt":
         omega = coupling if coupling is not None else n * theta
         lam = tnt_coupling_value(n, theta, omega, reading)
-        twist = GateSpec("TNT", (theta, lam), axes="zx")
-    else:
-        raise DomainError(f"unknown squeeze gate {gate!r}")
-    return Circuit(n, (prep, twist))
+        return GateSpec("TNT", (theta, lam), axes="zx")
+    raise DomainError(f"unknown squeeze gate {gate!r}")
 
 
 def cmd_squeeze(args) -> int:
@@ -149,12 +146,15 @@ def cmd_squeeze(args) -> int:
         raise DomainError("--steps must be >= 1")
     _check_finite({"--theta-min": args.theta_min, "--theta-max": args.theta_max,
                    "--phi": args.phi, "--coupling": args.coupling})
+    start = ground_state(args.n)
+    if args.gate != "gms":
+        start = apply_gate(start, GateSpec("RN", (np.pi / 2.0, 0.0)))
     rows = []
     for theta in np.linspace(args.theta_min, args.theta_max, args.steps):
-        circuit = _squeeze_circuit(
+        twist = _squeeze_twist(
             args.gate, args.n, float(theta), args.phi, args.coupling, args.tnt_coupling
         )
-        state = apply_circuit(circuit, ground_state(args.n))
+        state = apply_gate(start, twist)
         try:
             s_db = 10.0 * np.log10(get_xi_2_S(state))
             r_db = 10.0 * np.log10(get_xi_2_R(state))
@@ -209,10 +209,11 @@ def cmd_qpt(args) -> int:
     n = args.n
     lam = args.lambda_param
     state = ground_state(n)
+    twist = GateSpec("TAT", (lam / n,), axes="xy")
     rows = []
     for r in np.linspace(args.r_min, args.r_max, args.steps):
         state = apply_gate(state, GateSpec("RZ", (lam * r,)))
-        state = apply_gate(state, GateSpec("TAT", (lam / n,), axes="xy"))
+        state = apply_gate(state, twist)
         rows.append(
             (
                 float(r),

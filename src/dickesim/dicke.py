@@ -430,31 +430,33 @@ def op_jy(ledger: BlockLedger) -> CollectiveOperator:
     return _collective(ledger, "y", hermitian=True)
 
 
-def _pure_top_block_state(n_particles: int, amplitudes: np.ndarray) -> CollectiveState:
+def _pure_top_block_state(ledger: BlockLedger, amplitudes: np.ndarray) -> CollectiveState:
     """The pure state ``amplitudes`` of the j = N/2 block, held as its ket."""
-    ledger = build_ledger(n_particles)
     return CollectiveState._pure(ledger, ledger.j_max, amplitudes)
 
 
 def ground_state(n_particles: int) -> CollectiveState:
     """|N/2, -N/2>: all particles down; bottom-right of the j = N/2 block."""
-    amp = np.zeros(n_particles + 1)
+    ledger = build_ledger(n_particles)  # rejects N < 1 before any allocation
+    amp = np.zeros(ledger.n_particles + 1)
     amp[-1] = 1.0
-    return _pure_top_block_state(n_particles, amp)
+    return _pure_top_block_state(ledger, amp)
 
 
 def excited_state(n_particles: int) -> CollectiveState:
     """|N/2, +N/2>: all particles up."""
-    amp = np.zeros(n_particles + 1)
+    ledger = build_ledger(n_particles)
+    amp = np.zeros(ledger.n_particles + 1)
     amp[0] = 1.0
-    return _pure_top_block_state(n_particles, amp)
+    return _pure_top_block_state(ledger, amp)
 
 
 def ghz_state(n_particles: int) -> CollectiveState:
     """(|N/2, N/2> + |N/2, -N/2>) / sqrt(2)."""
-    amp = np.zeros(n_particles + 1)
+    ledger = build_ledger(n_particles)
+    amp = np.zeros(ledger.n_particles + 1)
     amp[0] = amp[-1] = 1.0 / np.sqrt(2.0)
-    return _pure_top_block_state(n_particles, amp)
+    return _pure_top_block_state(ledger, amp)
 
 
 @lru_cache(maxsize=1024)
@@ -512,7 +514,5 @@ def css_state(n_particles: int, theta: float, phi: float) -> CollectiveState:
         raise DomainError(f"theta must be in [0, pi], got {theta}")
     if not 0.0 <= phi < 2.0 * np.pi:
         raise DomainError(f"phi must be in [0, 2*pi), got {phi}")
-    n = int(n_particles)
-    if n < 1:
-        raise DomainError(f"need at least one particle, got {n_particles}")
-    return _pure_top_block_state(n, css_amplitudes(n, theta, phi))
+    ledger = build_ledger(n_particles)
+    return _pure_top_block_state(ledger, css_amplitudes(ledger.n_particles, theta, phi))

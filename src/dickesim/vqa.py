@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dicke import CollectiveState, ground_state
+from .dicke import CollectiveState, build_ledger, ground_state
 from .errors import DomainError, NumericError, UnsupportedConfigError
 from .gates import Circuit, GateSpec, apply_circuit, apply_gate
 from .squeezing import get_xi_2_S
@@ -95,6 +95,9 @@ class Ansatz:
 
     n_particles: int
     tnt_coupling: str = DEFAULT_TNT_COUPLING
+
+    def __post_init__(self):
+        build_ledger(self.n_particles)  # rejects N < 1 here, not at the first cost
 
     @property
     def n_params(self) -> int:
@@ -212,11 +215,6 @@ class _AnsatzRunner:
         """The circuit at ``theta`` and its final state; ``anchor`` keeps
         the gate-by-gate states for the points that follow."""
         circuit = self.ansatz.build(theta)
-        if circuit.n_particles != self.ansatz.n_particles:
-            raise DomainError(
-                f"circuit is for N = {circuit.n_particles}, "
-                f"state has N = {self.ansatz.n_particles}"
-            )
         specs = circuit.instructions
         gates = [_gate_bits(spec) for spec in specs]
         shared = 0

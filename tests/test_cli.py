@@ -206,6 +206,82 @@ class TestSqueeze:
         assert captured.out == "" and not out.exists()
 
 
+def replay_squeeze(n, gate, steps, coupling=None, phi=np.pi / 4):
+    """The squeeze CSV from a fresh two-gate circuit per point, each run from
+    the ground state: RN(pi/2, 0) then the twist, or GMS alone."""
+    from dickesim import cli
+    from dickesim.dicke import ground_state
+    from dickesim.errors import DegenerateFrameError
+    from dickesim.gates import Circuit, GateSpec, apply_circuit
+    from dickesim.squeezing import get_xi_2_R, get_xi_2_S
+    from dickesim.vqa import DEFAULT_TNT_COUPLING, tnt_coupling_value
+
+    rows = []
+    for theta in np.linspace(0.0, 0.5, steps):
+        theta = float(theta)
+        if gate == "gms":
+            specs = (GateSpec("GMS", (theta, phi)),)
+        else:
+            if gate == "oat":
+                twist = GateSpec("OAT", (theta,), axes="z")
+            elif gate == "tat":
+                twist = GateSpec("TAT", (theta,), axes="zy")
+            else:
+                omega = coupling if coupling is not None else n * theta
+                lam = tnt_coupling_value(n, theta, omega, DEFAULT_TNT_COUPLING)
+                twist = GateSpec("TNT", (theta, lam), axes="zx")
+            specs = (GateSpec("RN", (np.pi / 2.0, 0.0)), twist)
+        state = apply_circuit(Circuit(n, specs), ground_state(n))
+        try:
+            s_db = 10.0 * np.log10(get_xi_2_S(state))
+            r_db = 10.0 * np.log10(get_xi_2_R(state))
+        except DegenerateFrameError:
+            s_db = r_db = float("nan")
+        rows.append((theta, float(s_db), float(r_db)))
+    return cli._rows_csv("theta,xi2_S_dB,xi2_R_dB", rows)
+
+
+class TestSqueezePreparedOnce:
+    """Each point applies its twist to one prepared state; the bytes are
+    those of a per-point replay of the whole circuit."""
+
+    @pytest.mark.parametrize("n", [7, 64])
+    @pytest.mark.parametrize("gate, coupling", [
+        ("oat", None), ("tat", None), ("tnt", None), ("tnt", 3.5), ("gms", None),
+    ])
+    def test_bytes_match_per_point_replay(self, n, gate, coupling, capsys):
+        argv = ["squeeze", "--n", str(n), "--gate", gate, "--steps", "9"]
+        if coupling is not None:
+            argv += ["--coupling", str(coupling)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == replay_squeeze(n, gate, 9, coupling)
+
+    @pytest.mark.parametrize("steps", [1, 2, 7])
+    @pytest.mark.parametrize("gate", ["oat", "tat", "tnt"])
+    def test_one_rn_per_call(self, gate, steps, capsys, monkeypatch):
+        from dickesim import cli
+
+        kinds = []
+        real = cli.apply_gate
+        monkeypatch.setattr(
+            cli, "apply_gate", lambda state, spec: kinds.append(spec.kind) or real(state, spec)
+        )
+        assert main(["squeeze", "--n", "6", "--gate", gate, "--steps", str(steps)]) == 0
+        assert kinds.count("RN") == 1
+        assert len(kinds) == 1 + steps
+
+    def test_gms_applies_no_rn(self, capsys, monkeypatch):
+        from dickesim import cli
+
+        kinds = []
+        real = cli.apply_gate
+        monkeypatch.setattr(
+            cli, "apply_gate", lambda state, spec: kinds.append(spec.kind) or real(state, spec)
+        )
+        assert main(["squeeze", "--n", "6", "--gate", "gms", "--steps", "4"]) == 0
+        assert kinds == ["GMS"] * 4
+
+
 class TestVqa:
     def test_csv_shape(self, capsys):
         assert main(
@@ -315,6 +391,42 @@ class TestQpt:
     def test_step_domain(self, capsys):
         assert main(["qpt", "--n", "4", "--steps", "1"]) == 2
         assert main(["qpt", "--n", "4", "--r-min", "2", "--r-max", "-2"]) == 2
+
+    def test_one_tat_spec_per_call(self, capsys, monkeypatch):
+        # the TAT(lambda/N; xy) gate is the same at every step, so one spec
+        # is built and applied throughout; the list keeps every spec alive,
+        # so no id is reused
+        from dickesim import cli
+
+        specs = []
+        real = cli.apply_gate
+        monkeypatch.setattr(
+            cli, "apply_gate", lambda state, spec: specs.append(spec) or real(state, spec)
+        )
+        assert main(["qpt", "--n", "6", "--steps", "5"]) == 0
+        tats = [spec for spec in specs if spec.kind == "TAT"]
+        assert len(tats) == 5
+        assert len({id(spec) for spec in tats}) == 1
+
+
+class TestParticleCount:
+    """A particle count below one is a usage error, raised before any state
+    is allocated or any row is printed."""
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["squeeze", "--gate", "oat", "--steps", "2"],
+        ["squeeze", "--gate", "tat", "--steps", "2"],
+        ["squeeze", "--gate", "tnt", "--steps", "2"],
+        ["squeeze", "--gate", "gms", "--steps", "2"],
+        ["qpt", "--steps", "3"],
+        ["vqa", "--max-iter", "1"],
+    ])
+    def test_exit_2(self, argv, n, capsys):
+        assert main([*argv, f"--n={n}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: need at least one particle, got {n}\n"
+        assert captured.out == ""
 
 
 class TestHusimi:

@@ -157,6 +157,16 @@ def test_ground_excited_ghz():
     assert_valid_state(z)
 
 
+@pytest.mark.parametrize("n", [0, -1, -3])
+@pytest.mark.parametrize("make", [
+    ground_state, excited_state, ghz_state, lambda n: css_state(n, 0.3, 0.2),
+])
+def test_pure_states_reject_fewer_than_one_particle(make, n):
+    # the ledger's check runs before any amplitude array is allocated
+    with pytest.raises(DomainError, match=f"need at least one particle, got {n}"):
+        make(n)
+
+
 def test_state_block_shape_validation():
     led = build_ledger(4)
     with pytest.raises(DomainError):

@@ -65,6 +65,11 @@ class TestCost:
         a = Ansatz(30)
         assert cost([0.05, 0.0, 0.0], a) < 1.0
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_ansatz_rejects_fewer_than_one_particle(self, n):
+        with pytest.raises(DomainError, match=f"need at least one particle, got {n}"):
+            Ansatz(n)
+
     def test_reading_changes_cost(self):
         theta = [0.01, 0.1, 0.02]
         assert cost(theta, Ansatz(20, "table1")) != pytest.approx(
