@@ -206,7 +206,7 @@ class TestSqueeze:
         assert captured.out == "" and not out.exists()
 
 
-def replay_squeeze(n, gate, steps, coupling=None, phi=np.pi / 4):
+def replay_squeeze(n, gate, steps, coupling=None):
     """The squeeze CSV from a fresh two-gate circuit per point, each run from
     the ground state: RN(pi/2, 0) then the twist, or GMS alone."""
     from dickesim import cli
@@ -220,7 +220,7 @@ def replay_squeeze(n, gate, steps, coupling=None, phi=np.pi / 4):
     for theta in np.linspace(0.0, 0.5, steps):
         theta = float(theta)
         if gate == "gms":
-            specs = (GateSpec("GMS", (theta, phi)),)
+            specs = (GateSpec("GMS", (theta, np.pi / 4)),)  # the --phi default
         else:
             if gate == "oat":
                 twist = GateSpec("OAT", (theta,), axes="z")
@@ -257,7 +257,7 @@ class TestSqueezePreparedOnce:
         assert capsys.readouterr().out == replay_squeeze(n, gate, 9, coupling)
 
     @pytest.mark.parametrize("steps", [1, 2, 7])
-    @pytest.mark.parametrize("gate", ["oat", "tat", "tnt"])
+    @pytest.mark.parametrize("gate", ["oat", "tat", "tnt", "gms"])
     def test_one_rn_per_call(self, gate, steps, capsys, monkeypatch):
         from dickesim import cli
 
@@ -267,19 +267,9 @@ class TestSqueezePreparedOnce:
             cli, "apply_gate", lambda state, spec: kinds.append(spec.kind) or real(state, spec)
         )
         assert main(["squeeze", "--n", "6", "--gate", gate, "--steps", str(steps)]) == 0
-        assert kinds.count("RN") == 1
-        assert len(kinds) == 1 + steps
-
-    def test_gms_applies_no_rn(self, capsys, monkeypatch):
-        from dickesim import cli
-
-        kinds = []
-        real = cli.apply_gate
-        monkeypatch.setattr(
-            cli, "apply_gate", lambda state, spec: kinds.append(spec.kind) or real(state, spec)
-        )
-        assert main(["squeeze", "--n", "6", "--gate", "gms", "--steps", "4"]) == 0
-        assert kinds == ["GMS"] * 4
+        prep = [] if gate == "gms" else ["RN"]
+        assert kinds[:len(prep)] == prep and kinds.count("RN") == len(prep)
+        assert len(kinds) == len(prep) + steps
 
 
 class TestVqa:
