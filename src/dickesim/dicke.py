@@ -22,8 +22,9 @@ Conventions used throughout:
   returns fresh objects, so values are safe to share across threads;
 * a block's spin operators are banded in m (J_z diagonal, J_+/J_- one step
   off it) and are held as their diagonals (``Banded``, cached per 2j by
-  ``spin_bands``); ``spin_matrices`` and the all-block ``op_j*`` are their
-  dense forms, for reference.
+  ``spin_bands``).  Their dense reference forms are ``spin_matrices`` (one
+  block) and ``op_j*`` (every block of a ledger, as a read-only map
+  j -> block); no engine path builds either.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .errors import DomainError
 __all__ = [
     "Block",
     "BlockLedger",
-    "CollectiveOperator",
     "CollectiveState",
     "degeneracy",
     "build_ledger",
@@ -70,6 +70,15 @@ def _twoj(j: float) -> int:
     return int(round(twoj))
 
 
+def _particle_count(n_particles: int) -> int:
+    """N as an int; a bool, a non-integer or N < 1 raises DomainError."""
+    if isinstance(n_particles, bool) or not isinstance(n_particles, (int, np.integer)):
+        raise DomainError(f"particle count must be an integer, got {n_particles!r}")
+    if n_particles < 1:
+        raise DomainError(f"need at least one particle, got {n_particles}")
+    return int(n_particles)
+
+
 def degeneracy(n_particles: int, j: float) -> int:
     """Multiplicity d_N^j of the spin-j block for N particles.
 
@@ -77,9 +86,7 @@ def degeneracy(n_particles: int, j: float) -> int:
     the factorial ratio overflows 64-bit floats at modest N, so no
     floating-point intermediate is ever formed.
     """
-    n = int(n_particles)
-    if n < 1:
-        raise DomainError(f"need at least one particle, got {n_particles}")
+    n = _particle_count(n_particles)
     twoj = _twoj(j)
     if twoj > n or (n - twoj) % 2 != 0:
         raise DomainError(f"j = {j} is not a valid block label for N = {n}")
@@ -146,12 +153,12 @@ class BlockLedger:
         return j - np.arange(self.blocks[self.block_index(j)].dim)
 
 
-@lru_cache(maxsize=64)
+# typed: untyped, 4.0 or True would hit the entry of an equal np.int64 count
+# and skip the check
+@lru_cache(maxsize=64, typed=True)
 def build_ledger(n_particles: int) -> BlockLedger:
-    """Build the block ledger for N particles (N >= 1)."""
-    n = int(n_particles)
-    if n < 1:
-        raise DomainError(f"need at least one particle, got {n_particles}")
+    """Build the block ledger for N particles (an integer N >= 1)."""
+    n = _particle_count(n_particles)
     blocks = []
     offset = 0
     for twoj in range(n, n % 2 - 1, -2):
@@ -171,58 +178,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(a, dtype=complex)
     out.flags.writeable = False
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class CollectiveOperator:
-    """Block-diagonal operator (+)_j O_j; one matrix per ledger block."""
-
-    ledger: BlockLedger
-    blocks: tuple[np.ndarray, ...]
-    hermitian: bool
-
-    @property
-    def js(self) -> tuple[float, ...]:
-        return self.ledger.js
-
-    def block(self, j: float) -> np.ndarray:
-        return self.blocks[self.ledger.block_index(j)]
-
-    def _binary(self, other: "CollectiveOperator", fn, hermitian: bool) -> "CollectiveOperator":
-        if other.ledger != self.ledger:
-            raise DomainError("operator ledgers differ")
-        mats = tuple(_freeze(fn(a, b)) for a, b in zip(self.blocks, other.blocks))
-        return CollectiveOperator(self.ledger, mats, hermitian)
-
-    def __add__(self, other: "CollectiveOperator") -> "CollectiveOperator":
-        return self._binary(other, np.add, self.hermitian and other.hermitian)
-
-    def __sub__(self, other: "CollectiveOperator") -> "CollectiveOperator":
-        return self._binary(other, np.subtract, self.hermitian and other.hermitian)
-
-    def __matmul__(self, other: "CollectiveOperator") -> "CollectiveOperator":
-        # A @ B is Hermitian only in special cases the caller must assert.
-        return self._binary(other, np.matmul, False)
-
-    def __mul__(self, scalar: complex) -> "CollectiveOperator":
-        herm = self.hermitian and complex(scalar).imag == 0.0
-        return CollectiveOperator(
-            self.ledger, tuple(_freeze(scalar * b) for b in self.blocks), herm
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "CollectiveOperator":
-        return self * (-1.0)
-
-    def square(self) -> "CollectiveOperator":
-        """A @ A, Hermitian whenever A is."""
-        mats = tuple(_freeze(b @ b) for b in self.blocks)
-        return CollectiveOperator(self.ledger, mats, self.hermitian)
-
-    def dagger(self) -> "CollectiveOperator":
-        mats = tuple(_freeze(b.conj().T) for b in self.blocks)
-        return CollectiveOperator(self.ledger, mats, self.hermitian)
 
 
 class CollectiveState:
@@ -398,36 +353,38 @@ def spin_matrices(twoj: int) -> dict[str, np.ndarray]:
     return {axis: band.dense() for axis, band in spin_bands(twoj).items()}
 
 
-def _collective(ledger: BlockLedger, axis: str, hermitian: bool) -> CollectiveOperator:
-    mats = tuple(_freeze(spin_bands(b.dim - 1)[axis].dense()) for b in ledger.blocks)
-    return CollectiveOperator(ledger, mats, hermitian)
+def _collective(ledger: BlockLedger, axis: str) -> Mapping[float, np.ndarray]:
+    """One spin operator over the whole ledger: j -> its dense block."""
+    return MappingProxyType(
+        {b.j: _freeze(spin_bands(b.dim - 1)[axis].dense()) for b in ledger.blocks}
+    )
 
 
 @lru_cache(maxsize=32)
-def op_jz(ledger: BlockLedger) -> CollectiveOperator:
+def op_jz(ledger: BlockLedger) -> Mapping[float, np.ndarray]:
     """J_z: diagonal m per block (storage order is m descending)."""
-    return _collective(ledger, "z", hermitian=True)
+    return _collective(ledger, "z")
 
 
 @lru_cache(maxsize=32)
-def op_jplus(ledger: BlockLedger) -> CollectiveOperator:
+def op_jplus(ledger: BlockLedger) -> Mapping[float, np.ndarray]:
     """J_+: raises m by one, coefficient sqrt((j-m)(j+m+1))."""
-    return _collective(ledger, "plus", hermitian=False)
+    return _collective(ledger, "plus")
 
 
 @lru_cache(maxsize=32)
-def op_jminus(ledger: BlockLedger) -> CollectiveOperator:
-    return _collective(ledger, "minus", hermitian=False)
+def op_jminus(ledger: BlockLedger) -> Mapping[float, np.ndarray]:
+    return _collective(ledger, "minus")
 
 
 @lru_cache(maxsize=32)
-def op_jx(ledger: BlockLedger) -> CollectiveOperator:
-    return _collective(ledger, "x", hermitian=True)
+def op_jx(ledger: BlockLedger) -> Mapping[float, np.ndarray]:
+    return _collective(ledger, "x")
 
 
 @lru_cache(maxsize=32)
-def op_jy(ledger: BlockLedger) -> CollectiveOperator:
-    return _collective(ledger, "y", hermitian=True)
+def op_jy(ledger: BlockLedger) -> Mapping[float, np.ndarray]:
+    return _collective(ledger, "y")
 
 
 def _pure_top_block_state(ledger: BlockLedger, amplitudes: np.ndarray) -> CollectiveState:

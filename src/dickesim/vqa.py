@@ -211,11 +211,10 @@ class _AnsatzRunner:
         self._gates: list[tuple] = []  # _states[i] is the state after _gates[i]
         self._states: list[CollectiveState] = []
 
-    def run(self, theta: np.ndarray, anchor: bool = False) -> tuple[Circuit, CollectiveState]:
-        """The circuit at ``theta`` and its final state; ``anchor`` keeps
-        the gate-by-gate states for the points that follow."""
-        circuit = self.ansatz.build(theta)
-        specs = circuit.instructions
+    def run(self, theta: np.ndarray, anchor: bool = False) -> CollectiveState:
+        """The final state of the circuit at ``theta``; ``anchor`` keeps the
+        gate-by-gate states for the points that follow."""
+        specs = self.ansatz.build(theta).instructions
         gates = [_gate_bits(spec) for spec in specs]
         shared = 0
         for new, old in zip(gates, self._gates):
@@ -230,14 +229,12 @@ class _AnsatzRunner:
             if anchor and i < len(specs) - 1:  # the final state is no probe's prefix
                 self._gates.append(gates[i])
                 self._states.append(state)
-        return circuit, state
+        return state
 
 
-def _read_ket(circuit: Circuit, state: CollectiveState) -> np.ndarray:
+def _read_ket(state: CollectiveState) -> np.ndarray:
     """Pure-state vector of a noiseless ansatz state, the ket it is held as,
     in the gauge where psi_p is real and positive at p = argmax |psi_p|^2."""
-    if any(spec.noise for spec in circuit.instructions):
-        raise UnsupportedConfigError("QNG metric needs a noiseless (pure) ansatz")
     if state._ket is None:
         raise UnsupportedConfigError(
             "state is held as a density matrix, possibly mixed; QNG needs a pure ket"
@@ -275,8 +272,8 @@ def fubini_study_metric(theta: np.ndarray, ansatz: Ansatz, eps_fd: float) -> np.
     finite differences on the phase-aligned pure-state vector."""
     theta = np.asarray(theta, dtype=float)
     runner = _AnsatzRunner(ansatz)
-    center = _read_ket(*runner.run(theta, anchor=True))
-    kets = [_read_ket(*runner.run(p)) for p in _probe_points(theta, eps_fd)]
+    center = _read_ket(runner.run(theta, anchor=True))
+    kets = [_read_ket(runner.run(p)) for p in _probe_points(theta, eps_fd)]
     return _metric(center, kets, eps_fd)
 
 
@@ -378,8 +375,8 @@ def fit(
 
     def read(t: np.ndarray, anchor: bool = False) -> tuple[float, np.ndarray | None]:
         # the cost and, under QNG, the ket at t; the state itself is dropped
-        circuit, state = runner.run(t, anchor)
-        return get_xi_2_S(state), _read_ket(circuit, state) if qng else None
+        state = runner.run(t, anchor)
+        return get_xi_2_S(state), _read_ket(state) if qng else None
 
     adam = AdamState.zeros(theta.size)
     value, center = read(theta, anchor=True)

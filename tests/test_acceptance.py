@@ -30,9 +30,6 @@ from dickesim import (
     get_xi_2_S,
     ground_state,
     husimi_grid,
-    op_jx,
-    op_jy,
-    op_jz,
     probabilities,
 )
 from dickesim.bench import layer_seconds
@@ -406,24 +403,24 @@ def test_criterion_10_invariants():
         checked += 1
 
     # commutator / ladder / Casimir identities per block
-    from dickesim.dicke import op_jminus, op_jplus
+    from dickesim.dicke import op_jminus, op_jplus, op_jx, op_jy, op_jz
 
     for n in (1, 2, 3, 7, 16, 29, 30):
         ledger = build_ledger(n)
         jx, jy, jz = op_jx(ledger), op_jy(ledger), op_jz(ledger)
         jp, jm = op_jplus(ledger), op_jminus(ledger)
-        casimir = jx.square() + jy.square() + jz.square()
         for j in ledger.js:
             dim = int(round(2 * j)) + 1
-            x, y, z = jx.block(j), jy.block(j), jz.block(j)
-            p, m = jp.block(j), jm.block(j)
+            x, y, z = jx[j], jy[j], jz[j]
+            p, m = jp[j], jm[j]
+            casimir = x @ x + y @ y + z @ z
             np.testing.assert_allclose(x @ y - y @ x, 1j * z, atol=1e-10)
             np.testing.assert_allclose(y @ z - z @ y, 1j * x, atol=1e-10)
             np.testing.assert_allclose(z @ x - x @ z, 1j * y, atol=1e-10)
             np.testing.assert_allclose(z @ p - p @ z, p, atol=1e-10)
             np.testing.assert_allclose(z @ m - m @ z, -m, atol=1e-10)
             np.testing.assert_allclose(
-                casimir.block(j), j * (j + 1) * np.eye(dim), atol=1e-10
+                casimir, j * (j + 1) * np.eye(dim), atol=1e-10
             )
     report(
         "criterion 10 PASS — unitarity of Hermitian-generator gates; "

@@ -1,11 +1,11 @@
-"""The active-block kernel against the all-block operator algebra.
+"""The active-block kernel against a dense per-block reference.
 
 ``apply_gate`` builds generators only on the blocks a state occupies, applies
 diagonal gates as phases, and reads moments from block diagonals.  The
-reference here is the all-block path: generators composed from the ``op_j*``
-operators with ``CollectiveOperator`` arithmetic over the whole ledger, every
-active block conjugated by a dense exponential of its generator block (eigh or
-expm), and expectation values taken as dense traces sum_j tr(rho_j O_j).
+reference here is the dense path: each block's generator composed by the gate
+recipe from that block's dense ``op_j*`` matrices, each active block
+conjugated by a dense exponential of it (eigh or expm), and expectation values
+taken as dense traces sum_j tr(rho_j O_j).
 """
 
 import sys
@@ -24,35 +24,30 @@ from dickesim import (
     css_state,
     depolarize,
     expval,
-    exponentiate,
-    generator,
     get_xi_2_R,
     get_xi_2_S,
     ground_state,
     husimi_grid,
     mean_spin_frame,
-    op_jminus,
-    op_jplus,
-    op_jx,
-    op_jy,
-    op_jz,
 )
 from dickesim import dicke
+from dickesim.dicke import op_jminus, op_jplus, op_jx, op_jy, op_jz
 from dickesim.errors import NumericError
-from dickesim.gates import Circuit, GateSpec, _recipe
+from dickesim.gates import Circuit, GateSpec, _recipe, exponentiate, generator
 
 from conftest import CATALOG, random_gate
 
 TOL = 1e-12
 
 
-def all_block_ops(ledger):
+def block_ops(ledger, j):
+    """The dense spin operators of block j, keyed as the gate recipes read them."""
     return {
-        "x": op_jx(ledger),
-        "y": op_jy(ledger),
-        "z": op_jz(ledger),
-        "plus": op_jplus(ledger),
-        "minus": op_jminus(ledger),
+        "x": op_jx(ledger)[j],
+        "y": op_jy(ledger)[j],
+        "z": op_jz(ledger)[j],
+        "plus": op_jplus(ledger)[j],
+        "minus": op_jminus(ledger)[j],
     }
 
 
@@ -65,13 +60,12 @@ def dense_exponential(g, angle, hermitian):
 
 
 def reference_apply_gate(state, spec):
-    """K rho K^dag with K from the all-block generator, then renormalization
-    and noise exactly as the catalog defines them."""
+    """K rho K^dag with K from each block's dense generator, then
+    renormalization and noise exactly as the catalog defines them."""
     build, angle, herm = _recipe(spec, state.n_particles)
-    raw = build(all_block_ops(state.ledger))
     blocks = {}
     for j, rho in state.items():
-        k = dense_exponential(raw.block(j), angle, herm)
+        k = dense_exponential(build(block_ops(state.ledger, j)), angle, herm)
         blocks[j] = k @ rho @ k.conj().T
     conditional = state.conditional
     if not herm:
@@ -102,17 +96,19 @@ def random_mixed_state(rng, n):
     return CollectiveState(ledger, {j: m / total for j, m in blocks.items()})
 
 
-def dense_expectation(op, state):
-    return complex(sum(np.trace(rho @ op.block(j)) for j, rho in state.items()))
+def dense_expectation(build, state):
+    """sum_j tr(rho_j O_j), with O_j = build(the dense operators of block j)."""
+    return complex(
+        sum(np.trace(rho @ build(block_ops(state.ledger, j))) for j, rho in state.items())
+    )
 
 
-def dense_observables(ledger):
-    ops = all_block_ops(ledger)
+def dense_observables():
     names = {"Jx": "x", "Jy": "y", "Jz": "z", "J_plus": "plus", "J_minus": "minus"}
     table = {}
     for name, axis in names.items():
-        table[name] = ops[axis]
-        table[name + "2"] = ops[axis].square()
+        table[name] = lambda o, a=axis: o[a]
+        table[name + "2"] = lambda o, a=axis: o[a] @ o[a]
     return table
 
 
@@ -121,14 +117,18 @@ def dense_xi2(state, frame):
     given mean-spin frame.  The frame is taken from the engine because its
     angles are ill-conditioned when |<J>| is small; <J> itself is checked
     through the observables."""
-    ops = all_block_ops(state.ledger)
     n2, n3 = frame.n2, frame.n3
-    jn2 = n2[0] * ops["x"] + n2[1] * ops["y"] + n2[2] * ops["z"]
-    jn3 = n3[0] * ops["x"] + n3[1] * ops["y"] + n3[2] * ops["z"]
+
+    def jn2(o):
+        return n2[0] * o["x"] + n2[1] * o["y"] + n2[2] * o["z"]
+
+    def jn3(o):
+        return n3[0] * o["x"] + n3[1] * o["y"] + n3[2] * o["z"]
+
     e2, e3 = dense_expectation(jn2, state).real, dense_expectation(jn3, state).real
-    s22 = dense_expectation(jn2.square(), state).real
-    s33 = dense_expectation(jn3.square(), state).real
-    cross = 0.5 * dense_expectation(jn2 @ jn3 + jn3 @ jn2, state).real
+    s22 = dense_expectation(lambda o: jn2(o) @ jn2(o), state).real
+    s33 = dense_expectation(lambda o: jn3(o) @ jn3(o), state).real
+    cross = 0.5 * dense_expectation(lambda o: jn2(o) @ jn3(o) + jn3(o) @ jn2(o), state).real
     cov = cross - e2 * e3
     root = np.sqrt((s22 - s33) ** 2 + 4.0 * cov**2)
     xi_s = 2.0 / state.n_particles * (s22 + s33 - root)
@@ -143,10 +143,10 @@ def assert_states_close(a, b):
 
 
 def assert_moments_close(state):
-    dense = dense_observables(state.ledger)
+    dense = dense_observables()
     assert set(dense) == set(OBSERVABLES)
-    for name, op in dense.items():
-        want = dense_expectation(op, state)
+    for name, build in dense.items():
+        want = dense_expectation(build, state)
         got = expval(state, name)
         if isinstance(got, float):
             want = want.real
@@ -283,11 +283,11 @@ def test_diagonal_gates_are_phases():
 
 def test_large_n_squeezing_builds_no_all_block_operator(monkeypatch):
     # At N = 1000 the ledger has 501 blocks; the five all-block operators
-    # alone would hold about 12 GiB.  Any CollectiveOperator built here fails.
+    # alone would hold about 12 GiB.  Any all-block operator built here fails.
     def refuse(*args, **kwargs):
         raise AssertionError("an all-block operator was built")
 
-    monkeypatch.setattr(dicke.CollectiveOperator, "__init__", refuse)
+    monkeypatch.setattr(dicke, "_collective", refuse)
     n = 1000
     circuit = Circuit(n, (GateSpec("RN", (np.pi / 2, 0.0)), GateSpec("OAT", (0.01,), axes="z")))
     state = apply_circuit(circuit, ground_state(n))

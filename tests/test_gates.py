@@ -22,11 +22,10 @@ from dickesim import (
     css_state,
     excited_state,
     expval,
-    exponentiate,
-    generator,
     ground_state,
     probabilities,
 )
+from dickesim.gates import exponentiate, generator
 from dickesim.oracle import extract_collective, full_run
 from tests.conftest import AXES_ALL, AXES_SINGLE, assert_valid_state, random_circuit
 

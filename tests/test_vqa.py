@@ -203,8 +203,8 @@ class TestMetric:
 
         reads = []
 
-        def eigh_vector(circuit, state):
-            reads.append(circuit)
+        def eigh_vector(state):
+            reads.append(state)
             (j,) = state.active_js
             evals, evecs = np.linalg.eigh(state.block(j))
             assert evals[-1] > 1.0 - 1e-8
@@ -368,8 +368,8 @@ class TestFit:
         )
         runner = vqa._AnsatzRunner(RzAnsatz(4))
         runner.run(np.array([0.0]), anchor=True)
-        _, reused = runner.run(np.array([0.0]))
-        _, rerun = runner.run(np.array([-0.0]))
+        reused = runner.run(np.array([0.0]))
+        rerun = runner.run(np.array([-0.0]))
         assert [(s.kind, str(s.params[0])) for s in calls] == [
             ("RZ", "0.0"), ("RX", "0.5"), ("RX", "0.5"), ("RZ", "-0.0"), ("RX", "0.5")
         ]
