@@ -13,6 +13,8 @@ Exit codes: 0 success, 2 usage or resource error (out of memory included),
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -56,8 +58,27 @@ __all__ = ["main"]
 def _emit(text: str, out: str | None):
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, newline="\n")
+    except OSError as exc:
+        raise _unwritable(out, exc.errno) from None
+
+
+def _unwritable(out: str, code: int) -> DomainError:
+    return DomainError(f"cannot write {out!r}: {os.strerror(code)}")
+
+
+def _check_out(out: str | None) -> None:
+    """Reject an --out that cannot be a file before any work: a directory,
+    or a file in a directory that does not exist."""
+    if out is None or out == "-":
+        return
+    path = Path(out)
+    if path.is_dir():
+        raise _unwritable(out, errno.EISDIR)
+    if not path.parent.is_dir():
+        raise _unwritable(out, errno.ENOENT)
 
 
 def _load_circuit(path: str) -> Circuit:
@@ -355,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except CircuitParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,8 +19,8 @@ collective operators:
 (``dicke.spin_bands``), it builds G_j as its diagonals at O(2j) cost; every
 catalog G has band offsets in -2..2, fixed by the kind and axes.  One
 per-block kernel, ``_propagator``, picks K_j's form from those offsets, on
-the blocks a state occupies only; ``apply_gate`` and ``exponentiate`` both
-call it:
+the blocks a state occupies only; ``exponentiate`` and ``apply_gate`` call
+it (a ket under a parity-split G excepted, see below):
 
 * {0} (RZ, RZ2, OAT/TAT/TNT with all-z axes): the phase vector p,
   K_j = diag(p), applied to rho_j as the elementwise product with p p^dag;
@@ -45,18 +45,22 @@ call it:
 
 A non-Hermitian G gives a non-unitary K: the conjugated state is renormalized
 to unit trace and flagged ``conditional`` (the map is not trace preserving).
-A state held as a ket (see ``dicke``) takes the same K_j as one matrix-vector
-product K psi, or p * psi for a phase vector, instead of the two matrix
-products of K rho K^dag; a non-unitary K's ket is renormalized to unit norm.
+A state held as a ket (see ``dicke``) never forms K_j under a parity-split
+G: psi' = D (+)_p V_p (e^{-i t w_p} * V_p^T (D^dag psi)_p), two real
+half-size products per parity on the (n, 2) float view of the complex
+slice, with no (2j+1)^2 array.  Under any other G it takes K_j as one
+matrix-vector product K psi, or p * psi for a phase vector, instead of the
+two matrix products of K rho K^dag; a non-unitary K's ket is renormalized
+to unit norm.
 
-The kernel keeps those eigenpairs in one byte-bounded LRU cache shared by
-every call; both halves of a split R_j are one real entry.  J_x^2's halves
-are keyed by 2j alone.  Any other G_j depends on 2j and on every gate
+``_eigenpairs`` keeps the eigenpairs of both forms in one byte-bounded LRU
+cache shared by every call; both halves of a split R_j are one real entry.
+J_x^2's halves are keyed by 2j alone.  Any other G_j depends on 2j and on every gate
 parameter except the angle (and, for TNT, on N/Lambda), and so does its
 key; RN's azimuth is part of it.  A key is stored on its second request
 only, so gates whose azimuth is drawn afresh each time never fill it.  A hit
-skips the generator build and the eigh, and gives K_j bit for bit as a miss
-does.
+skips the generator build and the eigh, and gives K_j, or a split ket, bit
+for bit as a miss does.
 """
 
 from __future__ import annotations
@@ -400,6 +404,12 @@ class BlockGenerator:
     def bands(self, j: float) -> Banded:
         return self.build(spin_bands(_twoj(j)))
 
+    @property
+    def split(self) -> bool:
+        """Hermitian, not diagonal, offsets in {-2, 0, 2}: G_j's parity
+        halves are uncoupled (see ``_parity_eigh``)."""
+        return self.hermitian and self.offsets != {0} and self.offsets <= _PARITY_OFFSETS
+
 
 def generator(
     spec: GateSpec, ledger: BlockLedger, js: tuple[float, ...] | None = None
@@ -417,6 +427,32 @@ def generator(
     return BlockGenerator(build, herm, offsets, key, azimuth, tuple(js)), angle
 
 
+def _eigenpairs(gen: BlockGenerator, j: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (w, V) of a Hermitian G_j with offsets beyond {0, +-1},
+    from the cache or decomposed and stored on the key's second request: the
+    dense complex eigh, or, for ``gen.split``, the parity halves of R_j
+    (G_j itself, or J_x^2 with its exact m^2 spectrum for an azimuth)."""
+    twoj = _twoj(j)
+    key = (twoj,) + gen.key
+    pair, admit = _EIGENPAIRS.lookup(key)
+    if pair is None:
+        if not gen.split:
+            pair = _eigh(gen.bands(j).dense(), j)
+        elif gen.azimuth is None:  # R_j = G_j
+            pair = _parity_eigh(gen.bands(j), j)
+        else:  # R_j = J_x^2, whose halves' spectra are exactly the m^2, ascending
+            v = _parity_eigh(_sq(spin_bands(twoj)["x"]), j)[1]
+            pair = np.sort(np.square(j - np.arange(twoj + 1))), v
+        if admit:
+            _EIGENPAIRS.store(key, *pair)
+    return pair
+
+
+def _azimuth_phases(gen: BlockGenerator, j: float) -> np.ndarray:
+    """p = e^{-i alpha m} of the gauge D = diag(p), for m = j, j - 1, ..., -j."""
+    return np.exp(-1j * gen.azimuth * (j - np.arange(_twoj(j) + 1)))
+
+
 def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
     """K_j = exp(-i angle G_j), the one per-block kernel: the phase vector p
     of K_j = diag(p), or the matrix K_j, in the form G's band offsets
@@ -432,25 +468,12 @@ def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
         from scipy.linalg import expm
 
         return expm(-1j * angle * gen.bands(j).dense())
-    twoj = _twoj(j)
-    key = (twoj,) + gen.key
-    split = gen.offsets <= _PARITY_OFFSETS
-    pair, admit = _EIGENPAIRS.lookup(key)
-    if pair is None:
-        if not split:
-            pair = _eigh(gen.bands(j).dense(), j)
-        elif gen.azimuth is None:  # R_j = G_j
-            pair = _parity_eigh(gen.bands(j), j)
-        else:  # R_j = J_x^2, whose halves' spectra are exactly the m^2, ascending
-            v = _parity_eigh(_sq(spin_bands(twoj)["x"]), j)[1]
-            pair = np.sort(np.square(j - np.arange(twoj + 1))), v
-        if admit:
-            _EIGENPAIRS.store(key, *pair)
-    w, v = pair
-    if split:
+    w, v = _eigenpairs(gen, j)
+    if gen.split:
         # M, a checkerboard: each parity's block V_p e^{-i t w_p} V_p^T as
         # two real products, exact zeros between the parities; then, for an
         # azimuth alpha != 0, K = D M D^dag with D = diag(p), p = e^{-i alpha m}
+        twoj = _twoj(j)
         k = np.zeros((twoj + 1, twoj + 1), dtype=complex)
         for p in (0, 1):
             vp = v[p::2, : (twoj + 2 - p) // 2]
@@ -458,7 +481,7 @@ def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
             k.real[p::2, p::2] = (vp * np.cos(phase)) @ vp.T
             k.imag[p::2, p::2] = (vp * -np.sin(phase)) @ vp.T
         if gen.azimuth:
-            p = np.exp(-1j * gen.azimuth * (j - np.arange(twoj + 1)))
+            p = _azimuth_phases(gen, j)
             k *= p[:, None]
             k *= p.conj()
         return k
@@ -467,6 +490,29 @@ def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
     k = v * np.exp(-1j * angle * w)
     k = np.conjugate(k, out=k) @ v.T
     return np.conjugate(k, out=k)
+
+
+def _split_ket(gen: BlockGenerator, angle: float, j: float, psi: np.ndarray) -> np.ndarray:
+    """K_j psi for a ``gen.split`` generator without forming K_j:
+    D (+)_p V_p (e^{-i t w_p} * V_p^T (D^dag psi)_p), each parity's two real
+    half-size products taken on the (n, 2) float view of the complex slice."""
+    twoj = _twoj(j)
+    w, v = _eigenpairs(gen, j)
+    if gen.azimuth:
+        gauge = _azimuth_phases(gen, j)
+        x = gauge.conj() * psi
+    else:
+        x = np.ascontiguousarray(psi, dtype=complex)
+    out = np.empty(twoj + 1, dtype=complex)
+    x2, out2 = x.view(float).reshape(-1, 2), out.view(float).reshape(-1, 2)
+    for p in (0, 1):
+        vp = v[p::2, : (twoj + 2 - p) // 2]
+        c = vp.T @ x2[p::2]  # (n, 2): the real and imaginary parts of V_p^T x_p
+        c.view(complex)[:, 0] *= np.exp(-1j * angle * w[p::2])
+        out2[p::2] = vp @ c
+    if gen.azimuth:
+        out *= gauge
+    return out
 
 
 def exponentiate(
@@ -490,17 +536,21 @@ def apply_gate(state: CollectiveState, spec: GateSpec) -> CollectiveState:
 
     Each active block is handled on its own: its K_j is formed by
     ``_propagator``, applied and dropped; a phase vector p acts as the
-    elementwise product rho * (p p^dag), or p * psi.  Unitary gates leave the
-    active block set unchanged; a noise step reads rho and may activate
-    neighboring blocks.  A non-unitary K's result is renormalized (rho by its
+    elementwise product rho * (p p^dag), or p * psi.  A ket under a
+    parity-split generator forms no K_j (``_split_ket``).  Unitary gates
+    leave the active block set unchanged; a noise step reads rho and may
+    activate neighboring blocks.  A non-unitary K's result is renormalized (rho by its
     trace, psi by its norm) and flagged conditional; a ket stays a ket.
     """
     gen, angle = generator(spec, state.ledger, state.active_js)
     conditional = state.conditional or not gen.hermitian
     if state._ket is not None:
         j, psi = state._ket
-        k = _propagator(gen, angle, j)
-        psi = k * psi if k.ndim == 1 else k @ psi
+        if gen.split:
+            psi = _split_ket(gen, angle, j, psi)
+        else:
+            k = _propagator(gen, angle, j)
+            psi = k * psi if k.ndim == 1 else k @ psi
         if not gen.hermitian:
             psi /= _normalization(np.linalg.norm(psi), spec.kind)
         out = CollectiveState._pure(state.ledger, j, psi, conditional)

@@ -535,6 +535,44 @@ class TestFlags:
         assert [float(v) for v in rows[0][3:]] == start.tolist()
 
 
+class TestUnwritableOut:
+    """An --out that cannot be written is a usage error: exit 2 and one
+    error line naming the path, never a traceback."""
+
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/out.csv", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    @pytest.mark.parametrize("command", ["qpt", "run"])
+    def test_exit_2_before_any_work(self, command, where, reason, circuit_file,
+                                    tmp_path, capsys, monkeypatch):
+        from dickesim import cli
+
+        def refuse(*args):
+            raise AssertionError("a gate ran before --out was checked")
+
+        monkeypatch.setattr(cli, "apply_gate", refuse)
+        monkeypatch.setattr(cli, "apply_circuit", refuse)
+        out = str(tmp_path / where)
+        argv = {
+            "qpt": ["qpt", "--n", "4", "--steps", "3"],
+            "run": ["run", circuit_file, "--shots", "10"],
+        }[command]
+        assert main(argv + ["--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out!r}: {reason}\n"
+        assert captured.out == ""
+
+    def test_run_counts_sibling_unwritable(self, circuit_file, tmp_path, capsys):
+        out = tmp_path / "probs.csv"
+        sibling = tmp_path / "probs.csv.counts.csv"
+        sibling.mkdir()
+        assert main(["run", circuit_file, "--shots", "10", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {str(sibling)!r}: Is a directory\n"
+        assert out.read_text().startswith("j,m,p\n")
+
+
 class TestResources:
     def test_memory_error_is_clean_exit_2(self, circuit_file, capsys, monkeypatch):
         from dickesim import cli

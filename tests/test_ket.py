@@ -1,8 +1,10 @@
 """Pure states held as kets: the ket path of ``apply_gate`` and the moments
-against the density-matrix path, and conditional gates near +-pi on pure
-states against the full-space oracle."""
+against the density-matrix path, the parity-split gates applied without
+forming K_j, and conditional gates near +-pi on pure states against the
+full-space oracle."""
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +27,8 @@ from dickesim import (
     probabilities,
 )
 from dickesim import gates
+from dickesim.cli import main
+from dickesim.gates import exponentiate, generator
 from dickesim.measurement import moments
 from dickesim.oracle import (
     full_apply_gate,
@@ -152,6 +156,115 @@ def test_unnormalizable_ket_raises():
     zero = CollectiveState._pure(ledger, 1.5, np.zeros(4))
     with pytest.raises(NumericError, match="R_PLUS produced an unnormalizable state"):
         apply_gate(zero, GateSpec("R_PLUS", (0.3,)))
+
+
+# ------------------------------------- parity-split gates without K_j
+
+# (kind, axes) of every Hermitian generator with band offsets in {-2, 0, 2}
+# that is not diagonal: TAT over two of x, y, z (but not z, z), TNT(x|y, z)
+# and the quadratic rotations G = D J_x^2 D^dag
+SPLIT_KINDS = {
+    *(("TAT", (a, b)) for a, b in itertools.product(AXES_SINGLE, repeat=2) if a + b != "zz"),
+    ("TNT", ("x", "z")),
+    ("TNT", ("y", "z")),
+    ("GMS", None),
+    ("RX2", None),
+    ("RY2", None),
+    ("OAT", ("x",)),
+    ("OAT", ("y",)),
+}
+
+
+def split_specs():
+    return [spec for spec in catalog_specs(2) if (spec.kind, spec.axes) in SPLIT_KINDS]
+
+
+def test_split_kinds_are_the_parity_split_generators():
+    ledger = build_ledger(2)
+    found = {
+        (spec.kind, spec.axes)
+        for spec in catalog_specs(2)
+        if generator(spec, ledger)[0].split
+    }
+    assert found == SPLIT_KINDS
+
+
+def refuse_propagator(gen, angle, j):
+    raise AssertionError(f"K_j formed for block j = {j}")
+
+
+@pytest.mark.parametrize("twoj", [0, 1, 2, 7, 100, 400, 1000])
+def test_split_ket_matches_formed_k(twoj, monkeypatch):
+    """psi' = D V (e^{-i t w} * V^T D^dag psi) per parity agrees with K_j psi
+    from ``exponentiate``; the ket path forms no K_j; and a cache hit gives
+    the bits of a miss: the reference is the key's first request, the first
+    ket the second (a miss, stored), the second ket a hit."""
+    ledger = build_ledger(twoj + 2)
+    j = twoj / 2.0
+    rng = np.random.default_rng(1800 + twoj)
+    psi = rng.normal(size=twoj + 1) + 1j * rng.normal(size=twoj + 1)
+    state = CollectiveState._pure(ledger, j, psi / np.linalg.norm(psi))
+    for spec in split_specs():
+        gates._EIGENPAIRS.clear()
+        want = exponentiate(*generator(spec, ledger, (j,)))[j] @ state._ket[1]
+        with monkeypatch.context() as patch:
+            patch.setattr(gates, "_propagator", refuse_propagator)
+            miss = apply_gate(state, spec)
+            assert len(gates._EIGENPAIRS) == 1, spec
+            hit = apply_gate(state, spec)
+        assert miss._ket[0] == j and not miss.conditional
+        assert np.abs(miss._ket[1] - want).max() <= 1e-14, spec
+        assert np.array_equal(miss._ket[1], hit._ket[1]), spec
+    gates._EIGENPAIRS.clear()
+
+
+def test_warm_split_ket_allocates_no_block_matrix():
+    # K_j at 2j = 1000 is 16 MB; the ket update needs a few (2j + 1)-vectors
+    state = css_state(1000, 1.1, 2.3)
+    spec = GateSpec("TAT", (0.02,), axes="xy")
+    for _ in range(2):  # a key is stored on its second request
+        apply_gate(state, spec)
+    tracemalloc.start()
+    try:
+        apply_gate(state, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def single_block_qpt(n, lam, steps):
+    """The qpt loop on a ket in j = N/2 with NumPy alone: RZ(lam r) as phases,
+    then TAT(lam/N; xy) from eigh of the dense J_x^2 - J_y^2; rows of
+    (r, 2<J_z>/N, 4<J_x^2>/N^2, 4<J_y^2>/N^2)."""
+    j = n / 2.0
+    m = np.arange(j, -j - 1.0, -1.0)
+    jplus = np.diag(np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0)), 1)
+    jx, jy = (jplus + jplus.T) / 2.0, (jplus - jplus.T) / 2j
+    w, v = np.linalg.eigh(jx @ jx - (jy @ jy).real)
+    k_tat = (v * np.exp(-1j * (lam / n) * w)) @ v.T
+    psi = np.zeros(n + 1, dtype=complex)
+    psi[-1] = 1.0
+    rows = []
+    for r in np.linspace(-5.0, 5.0, steps):
+        psi = k_tat @ (np.exp(-1j * lam * r * m) * psi)
+        rows.append((
+            r,
+            2.0 * np.vdot(psi, m * psi).real / n,
+            4.0 * np.linalg.norm(jx @ psi) ** 2 / n**2,
+            4.0 * np.linalg.norm(jy @ psi) ** 2 / n**2,
+        ))
+    return np.array(rows)
+
+
+def test_qpt_at_n_1000_matches_a_numpy_ket_run(capsys):
+    assert main(["qpt", "--n", "1000", "--steps", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "r,jz_scaled,jx2_scaled,jy2_scaled"
+    got = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    want = single_block_qpt(1000, -0.2, 20)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-10
 
 
 # -------------------------------------------- conditional gates near +-pi
