@@ -454,19 +454,55 @@ def _css_magnitudes(twoj: int, thetas: np.ndarray) -> np.ndarray:
     return np.exp(np.where(alive, ln_mag, -np.inf))
 
 
-def css_amplitudes(twoj: int, theta: float, phi: float) -> np.ndarray:
-    """Spin-j coherent state amplitudes over m = j, j-1, ..., -j.
+def _spinor_power(twoj: int, a: tuple[float, complex], b: tuple[float, complex]) -> np.ndarray:
+    """The unit ket (a|up> + b|down>)^(x)2j of the spin-j block, over
+    m = j, j-1, ..., -j: entry k is sqrt(C(2j, k)) a^(2j-k) b^k, normalized
+    (Arecchi et al., PRA 6, 2211 (1972)).  Each amplitude comes as a pair
+    (r, u), meaning r u, of a real r and a complex u of modulus 1 up to
+    rounding, so that its phase u is exact and not rounded by the product.
 
-    c_m = sqrt(C(2j, j+m)) cos(theta/2)^(j+m) (sin(theta/2) e^{-i phi})^(j-m),
-    with the magnitudes from ``_css_magnitudes``.
+    The magnitudes are taken in log space, as in ``_css_magnitudes``; a
+    zero amplitude leaves the one basis state of 0^0 = 1.  The phase
+    (2j - k) arg a + k arg b is taken as the powers of sign(r) u, one
+    running product each, divided by their moduli: a rounding per factor,
+    where an argument times k would carry the argument's rounding k times.
+    The factors +-1, +-i of a real or imaginary amplitude multiply exactly.
     """
-    amp = _css_magnitudes(twoj, [theta])[0] * np.exp(-1j * phi * np.arange(twoj + 1))
-    return amp / np.linalg.norm(amp)
+    (ra, ua), (rb, ub) = a, b
+    mod_a, mod_b = abs(ra) * abs(ua), abs(rb) * abs(ub)
+    if mod_a == 0.0 or mod_b == 0.0:
+        mag = np.zeros(twoj + 1)
+        mag[twoj if mod_a == 0.0 else 0] = 1.0
+    else:
+        ks = np.arange(twoj + 1)
+        mag = np.exp(0.5 * _ln_binomials(twoj) + ks[::-1] * log(mod_a) + ks * log(mod_b))
+        mag /= np.sqrt(mag @ mag)
+    powers = np.empty((2, twoj + 1), dtype=complex)
+    powers[:, 0] = 1.0
+    powers[0, 1:] = np.copysign(1.0, ra) * ua
+    powers[1, 1:] = np.copysign(1.0, rb) * ub
+    np.cumprod(powers, axis=1, out=powers)
+    phase = powers[0, ::-1] * powers[1]
+    return phase * (mag / np.abs(phase))
+
+
+def css_amplitudes(twoj: int, theta: float, phi: float) -> np.ndarray:
+    """Spin-j coherent state amplitudes over m = j, j-1, ..., -j:
+    c_m = sqrt(C(2j, j+m)) cos(theta/2)^(j+m) (sin(theta/2) e^{-i phi})^(j-m),
+    the spinor power of (cos(theta/2), sin(theta/2) e^{-i phi})."""
+    return _spinor_power(twoj, (np.cos(theta / 2.0), 1.0), (np.sin(theta / 2.0), np.exp(-1j * phi)))
 
 
 def css_state(n_particles: int, theta: float, phi: float) -> CollectiveState:
-    """Coherent spin state |theta, phi>: all spins aligned along the
-    (theta, phi) direction; a binomial superposition in the j = N/2 block."""
+    """Coherent spin state |theta, phi>: every spin in the state
+    cos(theta/2)|up> + sin(theta/2) e^{-i phi}|down>, a binomial
+    superposition in the j = N/2 block (``css_amplitudes``); its mean spin
+    points along (sin theta cos phi, -sin theta sin phi, cos theta).
+
+    The same ket, up to one global phase, is RN(theta, -phi) applied to
+    ``excited_state(N)`` and RN(theta - pi, -phi) applied to
+    ``ground_state(N)``; ``apply_gate`` takes both rotations in this closed
+    form (see ``gates``)."""
     if not 0.0 <= theta <= np.pi:
         raise DomainError(f"theta must be in [0, pi], got {theta}")
     if not 0.0 <= phi < 2.0 * np.pi:

@@ -6,8 +6,9 @@ collective operators:
 
     RX/RY/RZ(t)      G = J_x / J_y / J_z
     RN(t, phi)       G = -(J_x sin phi - J_y cos phi)   (rotation about the
-                     in-plane axis n = (-sin phi, cos phi, 0), so RN(-t, phi)
-                     turns the ground state into the coherent state |t, phi>)
+                     in-plane axis n = (-sin phi, cos phi, 0), so
+                     RN(t - pi, -phi) turns the ground state into
+                     css_state(N, t, phi), up to a global phase)
     R_PLUS/R_MINUS(t)  G = J_+ / J_-  (non-Hermitian; see apply_gate)
     RX2/RY2/RZ2(t)   G = J_x^2 / J_y^2 / J_z^2
     OAT(t, a)        G = J_a^2,                a in {x, y, z}
@@ -20,7 +21,7 @@ collective operators:
 catalog G has band offsets in -2..2, fixed by the kind and axes.  One
 per-block kernel, ``_propagator``, picks K_j's form from those offsets, on
 the blocks a state occupies only; ``exponentiate`` and ``apply_gate`` call
-it (a ket under a parity-split G excepted, see below):
+it (the ket cases below excepted):
 
 * {0} (RZ, RZ2, OAT/TAT/TNT with all-z axes): the phase vector p,
   K_j = diag(p), applied to rho_j as the elementwise product with p p^dag;
@@ -45,13 +46,27 @@ it (a ket under a parity-split G excepted, see below):
 
 A non-Hermitian G gives a non-unitary K: the conjugated state is renormalized
 to unit trace and flagged ``conditional`` (the map is not trace preserving).
-A state held as a ket (see ``dicke``) never forms K_j under a parity-split
-G: psi' = D (+)_p V_p (e^{-i t w_p} * V_p^T (D^dag psi)_p), two real
-half-size products per parity on the (n, 2) float view of the complex
-slice, with no (2j+1)^2 array.  Under any other G it takes K_j as one
-matrix-vector product K psi, or p * psi for a phase vector, instead of the
-two matrix products of K rho K^dag; a non-unitary K's ket is renormalized
-to unit norm.
+A state held as a ket (see ``dicke``) forms no K_j, and no (2j+1)^2
+array, in two cases:
+
+* an extreme ket, whose one nonzero entry psi_e sits at m = j or m = -j,
+  under RX, RY or RN(t, phi): it is every spin up (down), so the rotation
+  turns each spin-1/2 by U = cos(t/2) - i sin(t/2) n.sigma, n the gate's
+  axis, and psi' = psi_e (a|up> + b|down>)^(x)2j with (a, b) = U|up>
+  (U|down>), the spin coherent state of ``dicke._spinor_power`` (Arecchi et
+  al., PRA 6, 2211 (1972)), at O(2j) cost.  The rule reads psi only, and
+  its result carries no coherent-state tag: a later rotation of it forms
+  K_j as any other ket does, so only the first rotation of a fresh state
+  takes the rule.  A tag would carry the O(2j) form through whole
+  RX/RY/RZ layers and change the cost scaling that acceptance criterion 9
+  times, which is left to its own decision (ROADMAP, D2);
+* a parity-split G: psi' = D (+)_p V_p (e^{-i t w_p} * V_p^T (D^dag psi)_p),
+  two real half-size products per parity on the (n, 2) float view of the
+  complex slice.
+
+Under any other G a ket takes K_j as one matrix-vector product K psi, or
+p * psi for a phase vector, instead of the two matrix products of
+K rho K^dag; a non-unitary K's ket is renormalized to unit norm.
 
 ``_eigenpairs`` keeps the eigenpairs of both forms in one byte-bounded LRU
 cache shared by every call; both halves of a split R_j are one real entry.
@@ -76,7 +91,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dicke import Banded, BlockLedger, CollectiveState, _twoj, spin_bands
+from .dicke import Banded, BlockLedger, CollectiveState, _spinor_power, _twoj, spin_bands
 from .errors import CircuitParseError, DomainError, NumericError
 
 __all__ = [
@@ -515,6 +530,30 @@ def _split_ket(gen: BlockGenerator, angle: float, j: float, psi: np.ndarray) -> 
     return out
 
 
+def _extreme_rotation(spec: GateSpec, angle: float, psi: np.ndarray) -> np.ndarray | None:
+    """K psi in closed form for RX, RY or RN(t, phi) on a ket whose one
+    nonzero entry psi_e sits at m = j or m = -j, else None.  Rotating the
+    extreme state rotates each spin-1/2: psi' = psi_e (a|up> + b|down>)^(x)2j,
+    with (a, b) = U|up> or U|down>, U = cos(t/2) - i sin(t/2) n.sigma about
+    the gate's axis n = (n_x, n_y, 0): x, y, or (-sin phi, cos phi, 0)."""
+    if spec.kind not in ("RX", "RY", "RN"):
+        return None
+    nonzero = np.flatnonzero(psi)
+    if nonzero.size != 1 or nonzero[0] not in (0, psi.size - 1):
+        return None
+    if spec.kind == "RN":
+        phi = spec.params[1]
+        n_xy = complex(-np.sin(phi), np.cos(phi))
+    else:
+        n_xy = 1.0 + 0j if spec.kind == "RX" else 1j
+    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+    if nonzero[0] == 0:  # U|up> = c|up> - i s (n_x + i n_y)|down>
+        a, b = (c, 1.0), (s, -1j * n_xy)
+    else:  # U|down> = -i s (n_x - i n_y)|up> + c|down>
+        a, b = (s, -1j * n_xy.conjugate()), (c, 1.0)
+    return psi[nonzero[0]] * _spinor_power(psi.size - 1, a, b)
+
+
 def exponentiate(
     operator: BlockGenerator, angle: float, js: tuple[float, ...] | None = None
 ) -> dict[float, np.ndarray]:
@@ -536,17 +575,22 @@ def apply_gate(state: CollectiveState, spec: GateSpec) -> CollectiveState:
 
     Each active block is handled on its own: its K_j is formed by
     ``_propagator``, applied and dropped; a phase vector p acts as the
-    elementwise product rho * (p p^dag), or p * psi.  A ket under a
-    parity-split generator forms no K_j (``_split_ket``).  Unitary gates
-    leave the active block set unchanged; a noise step reads rho and may
-    activate neighboring blocks.  A non-unitary K's result is renormalized (rho by its
-    trace, psi by its norm) and flagged conditional; a ket stays a ket.
+    elementwise product rho * (p p^dag), or p * psi.  A ket forms no K_j
+    under RX, RY or RN when its one nonzero entry is at m = +-j
+    (``_extreme_rotation``), nor under a parity-split generator
+    (``_split_ket``).  Unitary gates leave the active block set unchanged;
+    a noise step reads rho and may activate neighboring blocks.  A
+    non-unitary K's result is renormalized (rho by its trace, psi by its
+    norm) and flagged conditional; a ket stays a ket.
     """
     gen, angle = generator(spec, state.ledger, state.active_js)
     conditional = state.conditional or not gen.hermitian
     if state._ket is not None:
         j, psi = state._ket
-        if gen.split:
+        rotated = _extreme_rotation(spec, angle, psi)
+        if rotated is not None:
+            psi = rotated
+        elif gen.split:
             psi = _split_ket(gen, angle, j, psi)
         else:
             k = _propagator(gen, angle, j)

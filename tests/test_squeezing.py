@@ -14,6 +14,7 @@ from dickesim import (
     ground_state,
     mean_spin_frame,
 )
+from dickesim.cli import main
 from dickesim.gates import Circuit, GateSpec
 from dickesim.oracle import extract_collective as oracle_extract
 from dickesim.oracle import full_run
@@ -173,3 +174,20 @@ class TestOneAxisTwistingClosedForm:
         theta = self.thetas(n)[3]
         got = get_xi_2_S(oat_state(n, theta))
         assert got == pytest.approx(kitagawa_ueda_xi2(n, theta), rel=1e-12, abs=0.0)
+
+    def test_squeeze_cli_at_n_10000(self, capsys):
+        """The OAT sweep at N = 10^4, where one K_j would take 1.6 GB: the
+        RN(pi/2, 0) preparation is a closed-form rotation of the ground ket
+        and OAT(z) a phase, so the run stays O(N).  The bound is 1e-10
+        relative because get_xi_2_S takes the smaller covariance eigenvalue
+        as a difference that cancels (1.2e-11 relative at N = 10^4 near the
+        minimum); theta = 0 is the coherent state, xi^2_S = 1."""
+        argv = ["squeeze", "--n", "10000", "--gate", "oat", "--theta-max", "0.002", "--steps", "3"]
+        assert main(argv) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header == "theta,xi2_S_dB,xi2_R_dB" and len(lines) == 3
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines])
+        thetas, xi2 = rows[:, 0], 10.0 ** (rows[:, 1] / 10.0)
+        assert np.array_equal(thetas, [0.0, 0.001, 0.002])
+        want = np.concatenate([[1.0], kitagawa_ueda_xi2(10_000, thetas[1:])])
+        np.testing.assert_allclose(xi2, want, rtol=1e-10, atol=0.0)
