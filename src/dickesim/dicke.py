@@ -434,49 +434,47 @@ def _ln_binomials(twoj: int) -> np.ndarray:
     return out
 
 
-def _css_magnitudes(twoj: int, thetas: np.ndarray) -> np.ndarray:
-    """|c_m| of the spin-j coherent states at polar angles ``thetas``, one
-    unnormalized row per angle over m = j, j-1, ..., -j:
+def _coherent_rows(twoj: int, mod_a: list[float], mod_b: list[float]) -> np.ndarray:
+    """Unit rows sqrt(C(2j, k)) |a|^(2j-k) |b|^k, k = 0..2j, one per pair of
+    moduli (|a|, |b|) from ``mod_a``, ``mod_b``: the magnitudes of the spin
+    coherent states (a|up> + b|down>)^(x)2j (Arecchi et al., PRA 6, 2211 (1972)).
 
-    sqrt(C(2j, j+m)) cos(theta/2)^(j+m) sin(theta/2)^(j-m),
-
-    evaluated for all angles at once in log space, so binomials stay finite
-    up to very large j.
+    Log space from ``_ln_binomials`` keeps binomials finite to very large j.
+    Each row takes ``math.log`` per modulus and its own BLAS dot for its norm
+    (``np.vecdot`` row by row, as ``row @ row``), so it does not depend on the
+    other rows.  A zero modulus gives the one basis row of 0^0 = 1 and stays
+    out of the exponential, where 0^k would overflow.
     """
-    half = np.asarray(thetas, dtype=float)[:, None] / 2.0
-    ks = np.arange(twoj + 1)  # sin-half exponent j - m
-    ln_mag = 0.5 * _ln_binomials(twoj)  # the row is symmetric: C(2j, j+m) = C(2j, j-m)
-    alive = np.ones((half.shape[0], twoj + 1), dtype=bool)
-    for base, expo in ((np.cos(half), twoj - ks), (np.sin(half), ks)):
-        zero = base == 0.0
-        alive &= ~zero | (expo == 0)  # 0^0 = 1, 0^k = 0
-        ln_mag = ln_mag + expo * np.log(np.where(zero, 1.0, base))
-    return np.exp(np.where(alive, ln_mag, -np.inf))
+    rows = np.zeros((len(mod_a), twoj + 1))
+    live = []
+    for i, (x, y) in enumerate(zip(mod_a, mod_b)):
+        if x == 0.0 or y == 0.0:
+            rows[i, twoj if x == 0.0 else 0] = 1.0
+        else:
+            live.append((i, log(x), log(y)))
+    if live:
+        at, ln_a, ln_b = (np.array(c) for c in zip(*live))
+        ks = np.arange(twoj + 1)
+        mags = np.exp(0.5 * _ln_binomials(twoj) + ks[::-1] * ln_a[:, None] + ks * ln_b[:, None])
+        rows[at] = mags / np.sqrt(np.vecdot(mags, mags))[:, None]
+    return rows
 
 
 def _spinor_power(twoj: int, a: tuple[float, complex], b: tuple[float, complex]) -> np.ndarray:
     """The unit ket (a|up> + b|down>)^(x)2j of the spin-j block, over
-    m = j, j-1, ..., -j: entry k is sqrt(C(2j, k)) a^(2j-k) b^k, normalized
-    (Arecchi et al., PRA 6, 2211 (1972)).  Each amplitude comes as a pair
-    (r, u), meaning r u, of a real r and a complex u of modulus 1 up to
-    rounding, so that its phase u is exact and not rounded by the product.
+    m = j, j-1, ..., -j: entry k is sqrt(C(2j, k)) a^(2j-k) b^k, normalized.
+    Each amplitude comes as a pair (r, u), meaning r u, of a real r and a
+    complex u of modulus 1 up to rounding, so that its phase u is exact and
+    not rounded by the product.
 
-    The magnitudes are taken in log space, as in ``_css_magnitudes``; a
-    zero amplitude leaves the one basis state of 0^0 = 1.  The phase
+    The magnitudes are the row of ``_coherent_rows``.  The phase
     (2j - k) arg a + k arg b is taken as the powers of sign(r) u, one
     running product each, divided by their moduli: a rounding per factor,
     where an argument times k would carry the argument's rounding k times.
     The factors +-1, +-i of a real or imaginary amplitude multiply exactly.
     """
     (ra, ua), (rb, ub) = a, b
-    mod_a, mod_b = abs(ra) * abs(ua), abs(rb) * abs(ub)
-    if mod_a == 0.0 or mod_b == 0.0:
-        mag = np.zeros(twoj + 1)
-        mag[twoj if mod_a == 0.0 else 0] = 1.0
-    else:
-        ks = np.arange(twoj + 1)
-        mag = np.exp(0.5 * _ln_binomials(twoj) + ks[::-1] * log(mod_a) + ks * log(mod_b))
-        mag /= np.sqrt(mag @ mag)
+    mag = _coherent_rows(twoj, [abs(ra) * abs(ua)], [abs(rb) * abs(ub)])[0]
     powers = np.empty((2, twoj + 1), dtype=complex)
     powers[:, 0] = 1.0
     powers[0, 1:] = np.copysign(1.0, ra) * ua

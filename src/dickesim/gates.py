@@ -554,12 +554,10 @@ def _extreme_rotation(spec: GateSpec, angle: float, psi: np.ndarray) -> np.ndarr
     return psi[nonzero[0]] * _spinor_power(psi.size - 1, a, b)
 
 
-def exponentiate(
-    operator: BlockGenerator, angle: float, js: tuple[float, ...] | None = None
-) -> dict[float, np.ndarray]:
-    """Per-block matrices exp(-i * angle * G_j) on blocks ``js`` (the
-    generator's blocks if None), from the kernel ``apply_gate`` uses."""
-    ks = {j: _propagator(operator, angle, j) for j in (operator.js if js is None else js)}
+def exponentiate(operator: BlockGenerator, angle: float) -> dict[float, np.ndarray]:
+    """Per-block matrices exp(-i * angle * G_j) on the generator's blocks,
+    from the kernel ``apply_gate`` uses."""
+    ks = {j: _propagator(operator, angle, j) for j in operator.js}
     return {j: np.diag(k) if k.ndim == 1 else k for j, k in ks.items()}
 
 

@@ -8,7 +8,8 @@ a moment costs O(2j+1) per block.  A state's moments are computed once and
 kept with it.
 
 The Husimi grid uses that coherent amplitudes factorize into a radial part
-r_a(theta) and a phase e^{i a phi}: Q(theta, phi) = s_0 + 2 Re sum_{k>0}
+r_a(theta), a row of the one coherent-state kernel ``dicke._coherent_rows``,
+and a phase e^{i a phi}: Q(theta, phi) = s_0 + 2 Re sum_{k>0}
 s_k(theta) e^{i k phi}, with s_k(theta) = sum_a r_a r_{a+k} rho_{a,a+k} the
 weighted sum over the k-th diagonal.  The diagonal sums cost O(n_theta d^2)
 per block of dimension d, and one phase product O(n_theta n_phi d_max) for
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import CollectiveState, _css_magnitudes, spin_bands
+from .dicke import CollectiveState, _coherent_rows, spin_bands
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -210,10 +211,9 @@ def expval(state: CollectiveState, observable: str) -> complex | float:
 
 
 def _radial_rows(twoj: int, thetas: np.ndarray) -> np.ndarray:
-    """The real spin-j coherent-state amplitudes at phi = 0, one normalized
-    row per theta, from one vectorized evaluation for all thetas."""
-    rows = _css_magnitudes(twoj, thetas)
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    """The real spin-j coherent-state amplitudes at phi = 0, one unit row per
+    theta in [0, pi], where cos(theta/2) and sin(theta/2) are the moduli."""
+    return _coherent_rows(twoj, np.cos(thetas / 2.0).tolist(), np.sin(thetas / 2.0).tolist())
 
 
 def husimi_grid(
@@ -222,8 +222,9 @@ def husimi_grid(
     phi_points: np.ndarray,
 ) -> np.ndarray:
     """Q(theta, phi) = sum_j <theta,phi; j| rho_j |theta,phi; j> over active
-    blocks, with |theta,phi; j> the spin-j coherent state.  Returns a grid of
-    shape (len(theta_points), len(phi_points)) with values in [0, 1].
+    blocks, with |theta,phi; j> the spin-j coherent state and theta in
+    [0, pi].  Returns a grid of shape (len(theta_points), len(phi_points))
+    with values in [0, 1].
 
     Built from the diagonal sums of the module docstring (storage index
     a = j - m): Q = Re sum_{k>=0} t_k(theta) e^{i k phi} with t_0 = s_0 and,
@@ -234,8 +235,8 @@ def husimi_grid(
     phis = np.atleast_1d(np.asarray(phi_points, dtype=float))
     if thetas.size == 0 or phis.size == 0:
         raise DomainError("husimi grid axes must be nonempty")
-    if not (np.isfinite(thetas).all() and np.isfinite(phis).all()):
-        raise DomainError("husimi grid axes must be finite")
+    if not (((0.0 <= thetas) & (thetas <= np.pi)).all() and np.isfinite(phis).all()):
+        raise DomainError("husimi grid axes must be finite, with theta in [0, pi]")
     blocks = [rho for _, rho in state.items()]
     width = max(map(len, blocks), default=1)
     # t[:, k] as (real, imag) pairs: the k-th diagonal of rho + rho^dagger

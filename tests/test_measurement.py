@@ -213,6 +213,25 @@ class TestHusimi:
         assert abs(phis[ip] - (2 * np.pi - phi0)) <= 2 * np.pi / 120
         assert grid.max() == pytest.approx(1.0, abs=1e-3)
 
+    def test_css_closed_form_at_large_n(self):
+        # |<n|n0>|^2 = ((1 + n.n0)/2)^N for coherent states along the unit
+        # vectors n and n0; css_state(theta0, phi0) sits at grid azimuth
+        # 2 pi - phi0 (see above).  Both poles and a patch around the peak.
+        n, theta0, phi0 = 1000, 1.1, 2.3
+        patch = np.linspace(-0.1, 0.1, 9)
+        thetas = np.concatenate([np.linspace(0.0, np.pi, 31), theta0 + patch])
+        phis = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
+        phis = np.concatenate([phis, 2 * np.pi - phi0 + patch])
+        grid = husimi_grid(css_state(n, theta0, phi0), thetas, phis)
+
+        def direction(theta, phi):
+            return np.stack(np.broadcast_arrays(
+                np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)), axis=-1)
+
+        cos_angle = direction(thetas[:, None], phis[None, :]) @ direction(theta0, 2 * np.pi - phi0)
+        np.testing.assert_allclose(grid, ((1 + cos_angle) / 2) ** n, rtol=0, atol=1e-12)
+        assert grid.max() == pytest.approx(1.0, abs=1e-12)
+
     def test_pole_rows_are_phi_independent(self):
         state = css_state(5, 0.8, 0.4)
         grid = husimi_grid(state, np.array([0.0, np.pi]), np.linspace(0, 6, 7))
@@ -267,6 +286,11 @@ class TestHusimi:
             ([-np.inf], [0.0]),
             ([0.5], [0.0, np.nan]),
             ([0.5], [np.inf, 1.0]),
+            # cos(theta/2) and sin(theta/2) are the radial rows' moduli only
+            # for theta in [0, pi]; past it they would label the wrong state
+            ([0.5, -0.1], [0.0]),
+            ([np.pi + 1e-12], [0.0]),
+            ([4.0, 7.0], [0.0]),
         ],
     )
     def test_non_finite_axes_rejected(self, thetas, phis):
@@ -280,17 +304,20 @@ class TestHusimi:
             husimi_grid(state, np.array([1.0]), np.array([0.0]))
 
 
-@pytest.mark.parametrize("twoj", [0, 1, 2, 7, 40, 300])
+@pytest.mark.parametrize("twoj", [0, 1, 2, 7, 40, 300, 1000])
 def test_radial_rows_match_per_theta_css_amplitudes(twoj):
-    # theta = 0 puts a zero base under a zero exponent (0^0 = 1)
+    # theta = 0 puts a zero base under a zero exponent (0^0 = 1).  The rows of
+    # all thetas at once and the coherent ket of each theta alone come from
+    # one kernel, so they agree bit for bit.
     from dickesim.dicke import css_amplitudes
     from dickesim.measurement import _radial_rows
 
     thetas = np.concatenate([[0.0, np.pi], np.linspace(0.0, np.pi, 37), [1e-9, np.pi - 1e-9]])
     rows = _radial_rows(twoj, thetas)
-    want = np.array([css_amplitudes(twoj, theta, 0.0).real for theta in thetas])
+    want = np.array([css_amplitudes(twoj, theta, 0.0) for theta in thetas])
     assert rows.shape == (thetas.size, twoj + 1)
-    np.testing.assert_allclose(rows, want, rtol=0, atol=1e-14)
+    assert not want.imag.any()
+    np.testing.assert_array_equal(rows, want.real)
     # sin(0) is exactly 0; cos(pi/2) is 6e-17, so the south pole is not exact
     np.testing.assert_array_equal(rows[0], np.eye(twoj + 1)[0])
 
