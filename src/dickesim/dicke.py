@@ -191,9 +191,10 @@ class CollectiveState:
 
     A state made by ``_pure`` is held as a ket: ``_ket`` is (j, psi) with psi
     read-only, and its one block rho_j = psi psi^dagger is built on the first
-    ``block``, ``items`` or ``trace`` read and kept (two threads reading it
-    first may both build it; the copies are equal bit for bit).  ``_ket`` is
-    None for a state built from blocks, rank-1 ones included.
+    ``block`` or ``items`` read only, and kept (two threads reading it first
+    may both build it; the copies are equal bit for bit).  ``trace`` and the
+    measurement readouts read the ket.  ``_ket`` is None for a state built
+    from blocks, rank-1 ones included.
     """
 
     __slots__ = ("ledger", "_blocks", "_ket", "conditional", "_moments")
@@ -260,6 +261,9 @@ class CollectiveState:
             yield self.ledger.blocks[idx].j, mat
 
     def trace(self) -> float:
+        if self._ket is not None:
+            psi = self._ket[1]
+            return float(np.vdot(psi, psi).real)
         return float(sum(np.trace(m).real for m in self._dense().values()))
 
 
@@ -434,29 +438,34 @@ def _ln_binomials(twoj: int) -> np.ndarray:
     return out
 
 
-def _coherent_rows(twoj: int, mod_a: list[float], mod_b: list[float]) -> np.ndarray:
+def _log_moduli(mod_a: list[float], mod_b: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """(ln|a|, ln|b|) for ``_coherent_rows``: ``math.log`` of each modulus,
+    -inf for a zero one.  Taken once for a set of pairs, they serve every 2j."""
+    return tuple(np.array([log(x) if x else -np.inf for x in mods]) for mods in (mod_a, mod_b))
+
+
+def _coherent_rows(twoj: int, logs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Unit rows sqrt(C(2j, k)) |a|^(2j-k) |b|^k, k = 0..2j, one per pair of
-    moduli (|a|, |b|) from ``mod_a``, ``mod_b``: the magnitudes of the spin
-    coherent states (a|up> + b|down>)^(x)2j (Arecchi et al., PRA 6, 2211 (1972)).
+    moduli (|a|, |b|) given by their logarithms ``logs`` (``_log_moduli``):
+    the magnitudes of the spin coherent states (a|up> + b|down>)^(x)2j
+    (Arecchi et al., PRA 6, 2211 (1972)).
 
     Log space from ``_ln_binomials`` keeps binomials finite to very large j.
-    Each row takes ``math.log`` per modulus and its own BLAS dot for its norm
-    (``np.vecdot`` row by row, as ``row @ row``), so it does not depend on the
-    other rows.  A zero modulus gives the one basis row of 0^0 = 1 and stays
-    out of the exponential, where 0^k would overflow.
+    Each row's norm is its own BLAS dot (``np.vecdot`` row by row, as
+    ``row @ row``), so it does not depend on the other rows.  A zero modulus
+    gives the one basis row of 0^0 = 1 (|a| = 0 wins) and stays out of the
+    exponential, where 0^k would overflow.
     """
-    rows = np.zeros((len(mod_a), twoj + 1))
-    live = []
-    for i, (x, y) in enumerate(zip(mod_a, mod_b)):
-        if x == 0.0 or y == 0.0:
-            rows[i, twoj if x == 0.0 else 0] = 1.0
-        else:
-            live.append((i, log(x), log(y)))
-    if live:
-        at, ln_a, ln_b = (np.array(c) for c in zip(*live))
+    ln_a, ln_b = logs
+    rows = np.zeros((ln_a.size, twoj + 1))
+    zero_a = ln_a == -np.inf
+    rows[zero_a, twoj] = 1.0
+    rows[~zero_a & (ln_b == -np.inf), 0] = 1.0
+    live = ~zero_a & (ln_b > -np.inf)
+    if live.any():
         ks = np.arange(twoj + 1)
-        mags = np.exp(0.5 * _ln_binomials(twoj) + ks[::-1] * ln_a[:, None] + ks * ln_b[:, None])
-        rows[at] = mags / np.sqrt(np.vecdot(mags, mags))[:, None]
+        mags = np.exp(0.5 * _ln_binomials(twoj) + ks[::-1] * ln_a[live, None] + ks * ln_b[live, None])
+        rows[live] = mags / np.sqrt(np.vecdot(mags, mags))[:, None]
     return rows
 
 
@@ -474,7 +483,7 @@ def _spinor_power(twoj: int, a: tuple[float, complex], b: tuple[float, complex])
     The factors +-1, +-i of a real or imaginary amplitude multiply exactly.
     """
     (ra, ua), (rb, ub) = a, b
-    mag = _coherent_rows(twoj, [abs(ra) * abs(ua)], [abs(rb) * abs(ub)])[0]
+    mag = _coherent_rows(twoj, _log_moduli([abs(ra) * abs(ua)], [abs(rb) * abs(ub)]))[0]
     powers = np.empty((2, twoj + 1), dtype=complex)
     powers[:, 0] = 1.0
     powers[0, 1:] = np.copysign(1.0, ra) * ua

@@ -9,12 +9,14 @@ kept with it.
 
 The Husimi grid uses that coherent amplitudes factorize into a radial part
 r_a(theta), a row of the one coherent-state kernel ``dicke._coherent_rows``,
-and a phase e^{i a phi}: Q(theta, phi) = s_0 + 2 Re sum_{k>0}
-s_k(theta) e^{i k phi}, with s_k(theta) = sum_a r_a r_{a+k} rho_{a,a+k} the
-weighted sum over the k-th diagonal.  The diagonal sums cost O(n_theta d^2)
-per block of dimension d, and one phase product O(n_theta n_phi d_max) for
-the whole grid, instead of O(n_theta n_phi d^2) per block for v^dagger rho v
-at every point.
+and a phase e^{i a phi}.  For a ket psi, Q(theta, phi) = |A|^2 with A =
+sum_a r_a psi_a e^{-i a phi}: one O(n_theta n_phi d) product.  For blocks,
+Q(theta, phi) = s_0 + 2 Re sum_{k>0} s_k(theta) e^{i k phi}, with
+s_k(theta) = sum_a r_a r_{a+k} rho_{a,a+k} the weighted sum over the k-th
+diagonal.  The diagonal sums cost O(n_theta d^2) per block of dimension d,
+and one phase product O(n_theta n_phi d_max) for the whole grid, instead of
+O(n_theta n_phi d^2) per block for v^dagger rho v at every point.  Neither
+readout of a ket, nor its probabilities |psi_a|^2, builds rho_j.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import CollectiveState, _coherent_rows, spin_bands
+from .dicke import CollectiveState, _coherent_rows, _log_moduli, spin_bands
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -65,10 +67,15 @@ class ShotCounts:
 
 def probabilities(state: CollectiveState) -> ProbTable:
     """Block diagonals as exact outcome probabilities; inactive blocks are
-    omitted, tiny negative floating-point residue is clamped to zero."""
+    omitted, tiny negative floating-point residue is clamped to zero.  A ket
+    psi gives |psi|^2, bit for bit the diagonal of its psi psi^dagger."""
+    if state._ket is not None:
+        j, psi = state._ket
+        diags = [(j, np.square(psi.real) + np.square(psi.imag))]
+    else:
+        diags = ((j, rho.diagonal().real) for j, rho in state.items())
     entries = []
-    for j, rho in state.items():
-        diag = rho.diagonal().real
+    for j, diag in diags:
         if diag.min() < -_CLAMP_TOL:
             raise NumericError(
                 f"negative probability {diag.min():.3e} in block j = {j}"
@@ -210,10 +217,16 @@ def expval(state: CollectiveState, observable: str) -> complex | float:
     return value
 
 
+def _theta_logs(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The logarithms of the moduli cos(theta/2), sin(theta/2), theta in
+    [0, pi], as ``_coherent_rows`` takes them; one set serves every block."""
+    return _log_moduli(np.cos(thetas / 2.0).tolist(), np.sin(thetas / 2.0).tolist())
+
+
 def _radial_rows(twoj: int, thetas: np.ndarray) -> np.ndarray:
     """The real spin-j coherent-state amplitudes at phi = 0, one unit row per
-    theta in [0, pi], where cos(theta/2) and sin(theta/2) are the moduli."""
-    return _coherent_rows(twoj, np.cos(thetas / 2.0).tolist(), np.sin(thetas / 2.0).tolist())
+    theta in [0, pi]."""
+    return _coherent_rows(twoj, _theta_logs(thetas))
 
 
 def husimi_grid(
@@ -226,10 +239,13 @@ def husimi_grid(
     [0, pi].  Returns a grid of shape (len(theta_points), len(phi_points))
     with values in [0, 1].
 
-    Built from the diagonal sums of the module docstring (storage index
-    a = j - m): Q = Re sum_{k>=0} t_k(theta) e^{i k phi} with t_0 = s_0 and,
-    as s_{-k} = s_k^* for Hermitian rho, t_k = 2 s_k.  The t_k of all blocks
-    add up before one phase product over the grid.
+    For a ket psi (storage index a = j - m) Q = |A|^2 with A = (R o psi) E,
+    R the radial rows and E[a, phi] = e^{-i a phi}, so Q >= 0 by
+    construction and rho_j is never formed.  For blocks Q comes from the
+    diagonal sums of the module docstring: Q = Re sum_{k>=0} t_k(theta)
+    e^{i k phi} with t_0 = s_0 and, as s_{-k} = s_k^* for Hermitian rho,
+    t_k = 2 s_k.  The t_k of all blocks add up before one phase product over
+    the grid.
     """
     thetas = np.atleast_1d(np.asarray(theta_points, dtype=float))
     phis = np.atleast_1d(np.asarray(phi_points, dtype=float))
@@ -237,15 +253,35 @@ def husimi_grid(
         raise DomainError("husimi grid axes must be nonempty")
     if not (((0.0 <= thetas) & (thetas <= np.pi)).all() and np.isfinite(phis).all()):
         raise DomainError("husimi grid axes must be finite, with theta in [0, pi]")
+    if state._ket is not None:
+        psi = state._ket[1]
+        # the global phase e^{-i c phi} drops out of |A|^2; offsets a - c from
+        # psi's largest entry keep the rounding of the phase argument small
+        offsets = np.arange(psi.size) - np.argmax(np.abs(psi))
+        phase = np.exp(-1j * np.outer(offsets, phis))
+        amps = (_radial_rows(psi.size - 1, thetas) * psi) @ phase
+        grid = np.square(amps.real) + np.square(amps.imag)
+    else:
+        grid = _block_husimi(state, thetas, phis)
+        # written so that a NaN fails this check and the next
+        if not grid.min() >= -1e-10:
+            raise NumericError(f"husimi value {grid.min()} below zero; state not PSD")
+    if not grid.max() <= 1.0 + 1e-10:
+        raise NumericError(f"husimi value {grid.max()} above one; trace exceeds one")
+    return np.clip(grid, 0.0, 1.0)
+
+
+def _block_husimi(state: CollectiveState, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     blocks = [rho for _, rho in state.items()]
     width = max(map(len, blocks), default=1)
+    logs = _theta_logs(thetas)
     # t[:, k] as (real, imag) pairs: the k-th diagonal of rho + rho^dagger
     # (the diagonal's real part at k = 0), weighted by r_a r_{a+k}.  Taking the
     # Hermitian part keeps Q = Re v^dagger rho v for any input block.
     t = np.zeros((thetas.size, width, 2))
     for rho in blocks:
         d = rho.shape[0]
-        radial = _radial_rows(d - 1, thetas)
+        radial = _coherent_rows(d - 1, logs)
         t[:, 0, 0] += radial**2 @ rho.diagonal().real
         for k in range(1, d):
             band = rho.diagonal(k) + rho.diagonal(-k).conj()
@@ -253,13 +289,7 @@ def husimi_grid(
     # One phase matrix, the largest block's; the +i phase labels grid points by
     # the Bloch direction: a spin along (theta0, phi0) peaks there.
     phase = np.exp(1j * np.outer(np.arange(width), phis))
-    grid = t[:, :, 0] @ phase.real - t[:, :, 1] @ phase.imag
-    # written so that a NaN fails them
-    if not grid.min() >= -1e-10:
-        raise NumericError(f"husimi value {grid.min()} below zero; state not PSD")
-    if not grid.max() <= 1.0 + 1e-10:
-        raise NumericError(f"husimi value {grid.max()} above one; trace exceeds one")
-    return np.clip(grid, 0.0, 1.0)
+    return t[:, :, 0] @ phase.real - t[:, :, 1] @ phase.imag
 
 
 def _fmt(x: float) -> str:

@@ -14,8 +14,12 @@ AXES_ALL = ("x", "y", "z", "plus", "minus")
 
 
 def assert_valid_state(state, atol=1e-10):
-    """Trace one, Hermitian blocks, PSD blocks."""
+    """Trace one, Hermitian blocks, PSD blocks.  A ket's psi psi^dagger is
+    Hermitian and PSD by construction, so a ket is checked by its norm alone
+    and rho_j is not built."""
     assert abs(state.trace() - 1.0) < atol, f"trace {state.trace()}"
+    if state._ket is not None:
+        return
     for j in state.active_js:
         rho = state.block(j)
         assert np.allclose(rho, rho.conj().T, atol=atol), f"block j={j} not Hermitian"

@@ -24,7 +24,9 @@ from dickesim import (
     expval,
     ghz_state,
     ground_state,
+    husimi_grid,
     probabilities,
+    sample,
 )
 from dickesim import gates
 from dickesim.cli import main
@@ -135,6 +137,16 @@ def test_state_constructors_hold_kets():
     assert state.trace() == pytest.approx(1.0, abs=1e-14)
     psi = state._ket[1]
     np.testing.assert_allclose(first, np.outer(psi, psi.conj()), rtol=0, atol=1e-16)
+
+
+def test_readouts_of_a_ket_build_no_block():
+    state = apply_gate(css_state(40, 1.1, 2.3), GateSpec("OAT", (0.05,), axes="x"))
+    assert state._ket is not None
+    probabilities(state)
+    sample(state, 100, 3)
+    husimi_grid(state, np.linspace(0.0, np.pi, 5), np.linspace(0.0, 6.0, 4))
+    assert state.trace() == pytest.approx(1.0, abs=1e-14)
+    assert state._blocks is None
 
 
 def test_rank_one_block_stays_rho():

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,10 @@ import pytest
 from dickesim import (
     CollectiveState,
     DomainError,
+    GateSpec,
     NumericError,
     apply_circuit,
+    apply_gate,
     build_ledger,
     css_state,
     expval,
@@ -232,6 +235,33 @@ class TestHusimi:
         np.testing.assert_allclose(grid, ((1 + cos_angle) / 2) ** n, rtol=0, atol=1e-12)
         assert grid.max() == pytest.approx(1.0, abs=1e-12)
 
+    def test_css_closed_form_at_n_10000(self):
+        # the ket readout at N = 10^4, where rho_j would take 1.6 GB; the
+        # rounding of the phase argument a phi grows with 2j, hence 1e-11
+        n, theta0, phi0 = 10_000, 1.1, 2.3
+        patch = np.linspace(-0.02, 0.02, 9)
+        thetas = np.concatenate([np.linspace(0.0, np.pi, 31), theta0 + patch])
+        phis = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
+        phis = np.concatenate([phis, 2 * np.pi - phi0 + patch])
+        state = css_state(n, theta0, phi0)
+        tracemalloc.start()
+        try:
+            grid = husimi_grid(state, thetas, phis)
+            probabilities(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert state._blocks is None
+
+        def direction(theta, phi):
+            return np.stack(np.broadcast_arrays(
+                np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)), axis=-1)
+
+        cos_angle = direction(thetas[:, None], phis[None, :]) @ direction(theta0, 2 * np.pi - phi0)
+        np.testing.assert_allclose(grid, ((1 + cos_angle) / 2) ** n, rtol=0, atol=1e-11)
+        assert grid.max() == pytest.approx(1.0, abs=1e-11)
+
     def test_pole_rows_are_phi_independent(self):
         state = css_state(5, 0.8, 0.4)
         grid = husimi_grid(state, np.array([0.0, np.pi]), np.linspace(0, 6, 7))
@@ -342,6 +372,45 @@ class TestHusimiAgainstDense:
         got = husimi_grid(state, GRID_THETAS, GRID_PHIS)
         want = dense_husimi(state, GRID_THETAS, GRID_PHIS)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def ket_states(rng):
+    """A ket after a random circuit, and a conditional one after R_PLUS."""
+    states = [
+        apply_circuit(random_circuit(rng, 12, 5), ground_state(12)),
+        apply_gate(css_state(12, 1.1, 2.3), GateSpec("R_PLUS", (0.4,))),
+    ]
+    assert all(state._ket is not None for state in states)
+    assert states[1].conditional
+    return states
+
+
+def as_blocks(state):
+    """The same state rebuilt as its block psi psi^dagger."""
+    j, psi = state._ket
+    return CollectiveState(state.ledger, {j: np.outer(psi, psi.conj())}, state.conditional)
+
+
+class TestKetReadouts:
+    def test_husimi_matches_block_path(self, rng):
+        for state in ket_states(rng):
+            got = husimi_grid(state, GRID_THETAS, GRID_PHIS)
+            want = husimi_grid(as_blocks(state), GRID_THETAS, GRID_PHIS)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("scale, value", [(2.0, 1.0), (1.0, np.nan)])
+    def test_husimi_of_a_bad_ket_raises(self, scale, value):
+        # a ket of norm 2 peaks at Q = 2, and a NaN fails the same check
+        psi = scale * css_state(6, 1.0, 0.3)._ket[1]
+        psi[1] *= value
+        state = CollectiveState._pure(build_ledger(6), 3.0, psi)
+        with pytest.raises(NumericError, match="above one"):
+            husimi_grid(state, np.linspace(0, np.pi, 9), np.array([0.0, 2.0]))
+
+    def test_probabilities_match_block_path_bit_for_bit(self, rng):
+        for state in ket_states(rng):
+            blocks = CollectiveState(state.ledger, dict(state.items()), state.conditional)
+            assert probabilities(state).entries == probabilities(blocks).entries
 
 
 class TestCsv:
