@@ -458,10 +458,10 @@ def _coherent_rows(twoj: int, logs: tuple[np.ndarray, np.ndarray]) -> np.ndarray
     """
     ln_a, ln_b = logs
     rows = np.zeros((ln_a.size, twoj + 1))
-    zero_a = ln_a == -np.inf
+    zero_a, zero_b = ln_a == -np.inf, ln_b == -np.inf
     rows[zero_a, twoj] = 1.0
-    rows[~zero_a & (ln_b == -np.inf), 0] = 1.0
-    live = ~zero_a & (ln_b > -np.inf)
+    rows[zero_b & ~zero_a, 0] = 1.0
+    live = ~(zero_a | zero_b)
     if live.any():
         ks = np.arange(twoj + 1)
         mags = np.exp(0.5 * _ln_binomials(twoj) + ks[::-1] * ln_a[live, None] + ks * ln_b[live, None])

@@ -65,6 +65,19 @@ def dense_husimi(state, thetas, phis):
     return grid
 
 
+def css_closed_form(n, theta0, phi0, thetas, phis):
+    """|<n|n0>|^2 = ((1 + n.n0)/2)^N on the grid, for coherent states along
+    the unit vectors n and n0; css_state(theta0, phi0) sits at grid azimuth
+    2 pi - phi0 (see TestHusimi's peak test)."""
+
+    def direction(theta, phi):
+        return np.stack(np.broadcast_arrays(
+            np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)), axis=-1)
+
+    cos_angle = direction(thetas[:, None], phis[None, :]) @ direction(theta0, 2 * np.pi - phi0)
+    return ((1 + cos_angle) / 2) ** n
+
+
 class TestProbabilities:
     def test_ground_state(self):
         table = probabilities(ground_state(4)).as_dict()
@@ -217,27 +230,19 @@ class TestHusimi:
         assert grid.max() == pytest.approx(1.0, abs=1e-3)
 
     def test_css_closed_form_at_large_n(self):
-        # |<n|n0>|^2 = ((1 + n.n0)/2)^N for coherent states along the unit
-        # vectors n and n0; css_state(theta0, phi0) sits at grid azimuth
-        # 2 pi - phi0 (see above).  Both poles and a patch around the peak.
+        # both poles and a patch around the peak
         n, theta0, phi0 = 1000, 1.1, 2.3
         patch = np.linspace(-0.1, 0.1, 9)
         thetas = np.concatenate([np.linspace(0.0, np.pi, 31), theta0 + patch])
         phis = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
         phis = np.concatenate([phis, 2 * np.pi - phi0 + patch])
         grid = husimi_grid(css_state(n, theta0, phi0), thetas, phis)
-
-        def direction(theta, phi):
-            return np.stack(np.broadcast_arrays(
-                np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)), axis=-1)
-
-        cos_angle = direction(thetas[:, None], phis[None, :]) @ direction(theta0, 2 * np.pi - phi0)
-        np.testing.assert_allclose(grid, ((1 + cos_angle) / 2) ** n, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grid, css_closed_form(n, theta0, phi0, thetas, phis), rtol=0, atol=1e-12)
         assert grid.max() == pytest.approx(1.0, abs=1e-12)
 
     def test_css_closed_form_at_n_10000(self):
         # the ket readout at N = 10^4, where rho_j would take 1.6 GB; the
-        # rounding of the phase argument a phi grows with 2j, hence 1e-11
+        # closed form rounds n.n0 and raises it to the N-th power, hence 1e-11
         n, theta0, phi0 = 10_000, 1.1, 2.3
         patch = np.linspace(-0.02, 0.02, 9)
         thetas = np.concatenate([np.linspace(0.0, np.pi, 31), theta0 + patch])
@@ -253,13 +258,7 @@ class TestHusimi:
             tracemalloc.stop()
         assert peak < 64 * 2**20
         assert state._blocks is None
-
-        def direction(theta, phi):
-            return np.stack(np.broadcast_arrays(
-                np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)), axis=-1)
-
-        cos_angle = direction(thetas[:, None], phis[None, :]) @ direction(theta0, 2 * np.pi - phi0)
-        np.testing.assert_allclose(grid, ((1 + cos_angle) / 2) ** n, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(grid, css_closed_form(n, theta0, phi0, thetas, phis), rtol=0, atol=1e-11)
         assert grid.max() == pytest.approx(1.0, abs=1e-11)
 
     def test_pole_rows_are_phi_independent(self):
