@@ -21,7 +21,9 @@ collective operators:
 catalog G has band offsets in -2..2, fixed by the kind and axes.  One
 per-block kernel, ``_propagator``, picks K_j's form from those offsets, on
 the blocks a state occupies only; ``exponentiate`` and ``apply_gate`` call
-it (the ket cases below excepted):
+it (the ket cases below excepted).  A Hermitian G_j's eigenpairs take one
+of three eigen-forms (``_eigenpairs``): the parity split, the flip split, or
+the dense complex eigh:
 
 * {0} (RZ, RZ2, OAT/TAT/TNT with all-z axes): the phase vector p,
   K_j = diag(p), applied to rho_j as the elementwise product with p p^dag;
@@ -39,8 +41,14 @@ it (the ket cases below excepted):
   compute Wigner's d matrix (PRE 92, 043307 (2015)).  M is the checkerboard
   of the halves' V_p e^{-i t w_p} V_p^T, each as two real products, with
   exact zeros between the parities, and K_j[a, b] = p_a M[a, b] conj(p_b);
-* other Hermitian G (RX, RY, RN, TNT with second axis x or y): eigenpairs
-  of the dense complex G_j;
+* TNT(z, x) and TNT(z, y), the flip split: R_j = J_z^2 - w J_x is real,
+  tridiagonal and invariant under the storage reversal m -> -m, and
+  TNT(z, y) is D R D^dag at alpha = pi/2.  The butterfly T onto
+  (e_a +- e_{d-1-a})/sqrt2 (and the middle e_h for odd d) folds R_j into
+  two real tridiagonal halves (Feng et al. use the same symmetry), stored
+  as the parity halves are, and K_j = D T^T M T D^dag;
+* other Hermitian G (RX, RY, RN, TNT(x|y, x|y)): eigenpairs of the dense
+  complex G_j;
 * other non-Hermitian G (TAT/TNT with a plus or minus axis): scipy's Pade
   expm, imported on first use, so no other path loads SciPy.
 
@@ -60,16 +68,17 @@ array, in two cases:
   takes the rule.  A tag would carry the O(2j) form through whole
   RX/RY/RZ layers and change the cost scaling that acceptance criterion 9
   times, which is left to its own decision (ROADMAP, D2);
-* a parity-split G: psi' = D (+)_p V_p (e^{-i t w_p} * V_p^T (D^dag psi)_p),
-  two real half-size products per parity on the (n, 2) float view of the
-  complex slice.
+* a parity- or flip-split G:
+  psi' = D T^T (+)_p V_p (e^{-i t w_p} * V_p^T (T D^dag psi)_p), T the
+  identity for the parity split, two real half-size products per half on
+  the (n, 2) float view of the complex slice.
 
 Under any other G a ket takes K_j as one matrix-vector product K psi, or
 p * psi for a phase vector, instead of the two matrix products of
 K rho K^dag; a non-unitary K's ket is renormalized to unit norm.
 
-``_eigenpairs`` keeps the eigenpairs of both forms in one byte-bounded LRU
-cache shared by every call; both halves of a split R_j are one real entry.
+``_eigenpairs`` keeps the eigenpairs of all three forms in one byte-bounded
+LRU cache shared by every call; both halves of a split R_j are one real entry.
 J_x^2's halves are keyed by 2j alone.  Any other G_j depends on 2j and on every gate
 parameter except the angle (and, for TNT, on N/Lambda), and so does its
 key; RN's azimuth is part of it.  A key is stored on its second request
@@ -289,22 +298,65 @@ def _eigh(g: np.ndarray, j: float) -> tuple[np.ndarray, np.ndarray]:
 _PARITY_OFFSETS = frozenset({-2, 0, 2})
 
 
-def _parity_eigh(g: Banded, j: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a real G_j with band offsets {-2, 0, 2}.  Its even and
-    odd storage indices are two uncoupled real tridiagonal halves, each
-    decomposed by a real eigh: half p's pairs are w[p::2] and v[p::2, :d_p],
-    with d_p = len(w[p::2]), and v has d_0 = (2j + 2) // 2 columns."""
-    d = g.diags[0].size
+def _halves_eigh(halves, j: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of two real symmetric tridiagonal halves, given as (diagonal,
+    subdiagonal) pairs of sizes d_0 = (d + 1) // 2 and d_1 = d // 2, each by
+    a real eigh: half p's pairs are w[p::2] and v[p::2, :d_p]."""
+    d = sum(diag.size for diag, _ in halves)
     w = np.empty(d)
     v = np.zeros((d, (d + 1) // 2))
-    for p in (0, 1):
-        diag = g.diags[0][p::2].real
+    for p, (diag, sub) in enumerate(halves):
         n = diag.size
         half = np.zeros((n, n))  # eigh reads the lower triangle only
         half.reshape(-1)[:: n + 1] = diag
-        half.reshape(-1)[n :: n + 1] = g.diags[-2][p::2][1:].real
+        half.reshape(-1)[n :: n + 1] = sub
         w[p::2], v[p::2, :n] = _eigh(half, j)
     return w, v
+
+
+def _parity_eigh(g: Banded, j: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a real G_j with band offsets {-2, 0, 2}: its even and
+    odd storage indices are two uncoupled real tridiagonal halves."""
+    return _halves_eigh([(g.diags[0][p::2].real, g.diags[-2][p::2][1:].real) for p in (0, 1)], j)
+
+
+def _flip_eigh(r: Banded, j: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a real tridiagonal R_j that storage reversal leaves
+    unchanged, as the halves of T R_j T^T (T = ``_fold``): the middle
+    coupling beta = R[h, h - 1], h = d // 2, adds +-beta to the halves' last
+    diagonal entries for even d and joins half 0 to the middle as sqrt2 beta
+    for odd d."""
+    diag, sub = r.diags[0], r.diags[-1][1:]
+    h = diag.size // 2
+    if diag.size % 2:
+        sym = sub[:h].copy()
+        sym[h - 1 :] *= np.sqrt(2.0)  # empty for d = 1
+        return _halves_eigh([(diag[: h + 1], sym), (diag[:h], sub[: h - 1])], j)
+    beta = np.zeros(h)
+    beta[-1] = sub[h - 1]
+    return _halves_eigh([(diag[:h] + beta, sub[: h - 1]), (diag[:h] - beta, sub[: h - 1])], j)
+
+
+def _fold(x: np.ndarray) -> np.ndarray:
+    """T x along axis 0, T orthogonal: y[0::2] on (e_a + e_{d-1-a})/sqrt2,
+    a < h = d // 2, then the middle e_h for odd d; y[1::2] on
+    (e_a - e_{d-1-a})/sqrt2."""
+    h, y = x.shape[0] // 2, np.empty_like(x)
+    top, bottom = x[:h], x[::-1][:h]
+    y[: 2 * h : 2] = (top + bottom) * np.sqrt(0.5)
+    y[1 : 2 * h : 2] = (top - bottom) * np.sqrt(0.5)
+    y[2 * h :] = x[h : x.shape[0] - h]
+    return y
+
+
+def _unfold(y: np.ndarray) -> np.ndarray:
+    """T^T y along axis 0, the inverse of ``_fold``."""
+    h, x = y.shape[0] // 2, np.empty_like(y)
+    sym, anti = y[: 2 * h : 2], y[1 : 2 * h : 2]
+    x[:h] = (sym + anti) * np.sqrt(0.5)
+    x[::-1][:h] = (sym - anti) * np.sqrt(0.5)
+    x[h : y.shape[0] - h] = y[2 * h :]
+    return x
 
 
 # Byte budget of the eigenpair cache.  It must hold the working set of a
@@ -381,6 +433,12 @@ def _quadratic_azimuth(spec: GateSpec) -> float | None:
     return {"x": 0.0, "y": np.pi / 2.0}.get(axis)
 
 
+def _flip_azimuth(spec: GateSpec) -> float | None:
+    """alpha with G = D (J_z^2 - w J_x) D^dag, D = exp(-i alpha J_z), for
+    TNT(z, x) (0) and TNT(z, y) (pi/2), else None."""
+    return {("z", "x"): 0.0, ("z", "y"): np.pi / 2.0}.get(spec.axes) if spec.kind == "TNT" else None
+
+
 def _gate_key(spec: GateSpec, n_particles: int) -> tuple:
     """Everything a block generator's eigenpairs depend on besides 2j.  The
     quadratic rotation kinds all use the eigenpairs of J_x^2: the empty key.
@@ -406,14 +464,16 @@ class BlockGenerator:
     """A generator G kept as its recipe: ``bands(j)`` builds G_j as bands.
     ``offsets`` are G's band offsets, the same on every block; ``key`` is
     everything G_j's eigenpairs depend on besides 2j (see ``_gate_key``);
-    ``azimuth`` is alpha if G = D_alpha J_x^2 D_alpha^dag (see
-    ``_quadratic_azimuth``); ``js`` are the blocks it was made for."""
+    ``azimuth`` is alpha if G = D_alpha R D_alpha^dag with R = J_x^2 (see
+    ``_quadratic_azimuth``) or, for ``flip``, R = J_z^2 - w J_x (see
+    ``_flip_azimuth``); ``js`` are the blocks it was made for."""
 
     build: Callable
     hermitian: bool
     offsets: frozenset[int]
     key: tuple
     azimuth: float | None
+    flip: bool
     js: tuple[float, ...]
 
     def bands(self, j: float) -> Banded:
@@ -438,20 +498,26 @@ def generator(
         ledger.block_index(j)
     offsets = _band_offsets(spec.kind, spec.axes)
     key = _gate_key(spec, ledger.n_particles)
-    azimuth = _quadratic_azimuth(spec)
-    return BlockGenerator(build, herm, offsets, key, azimuth, tuple(js)), angle
+    flip = _flip_azimuth(spec)
+    azimuth = _quadratic_azimuth(spec) if flip is None else flip
+    return BlockGenerator(build, herm, offsets, key, azimuth, flip is not None, tuple(js)), angle
 
 
 def _eigenpairs(gen: BlockGenerator, j: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (w, V) of a Hermitian G_j with offsets beyond {0, +-1},
-    from the cache or decomposed and stored on the key's second request: the
-    dense complex eigh, or, for ``gen.split``, the parity halves of R_j
-    (G_j itself, or J_x^2 with its exact m^2 spectrum for an azimuth)."""
+    """Eigenpairs (w, V) of a Hermitian, non-diagonal G_j, from the cache or
+    decomposed and stored on the key's second request, in one of three
+    eigen-forms: the parity split (``gen.split``: the halves of R_j = G_j, or
+    of J_x^2 with its exact m^2 spectrum for an azimuth), the flip split
+    (``gen.flip``: the folded halves of R_j = J_z^2 - w J_x), or else the
+    dense complex eigh."""
     twoj = _twoj(j)
     key = (twoj,) + gen.key
     pair, admit = _EIGENPAIRS.lookup(key)
     if pair is None:
-        if not gen.split:
+        if gen.flip:  # D maps J_x to J_y and fixes J_z: R_j is G_j with J_y read as J_x
+            bands = spin_bands(twoj)
+            pair = _flip_eigh(gen.build({**bands, "y": bands["x"]}), j)
+        elif not gen.split:
             pair = _eigh(gen.bands(j).dense(), j)
         elif gen.azimuth is None:  # R_j = G_j
             pair = _parity_eigh(gen.bands(j), j)
@@ -484,7 +550,7 @@ def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
 
         return expm(-1j * angle * gen.bands(j).dense())
     w, v = _eigenpairs(gen, j)
-    if gen.split:
+    if gen.split or gen.flip:
         # M, a checkerboard: each parity's block V_p e^{-i t w_p} V_p^T as
         # two real products, exact zeros between the parities; then, for an
         # azimuth alpha != 0, K = D M D^dag with D = diag(p), p = e^{-i alpha m}
@@ -495,6 +561,8 @@ def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
             phase = angle * w[p::2]
             k.real[p::2, p::2] = (vp * np.cos(phase)) @ vp.T
             k.imag[p::2, p::2] = (vp * -np.sin(phase)) @ vp.T
+        if gen.flip:  # K = T^T M T
+            k = _unfold(_unfold(k).T).T
         if gen.azimuth:
             p = _azimuth_phases(gen, j)
             k *= p[:, None]
@@ -508,9 +576,10 @@ def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
 
 
 def _split_ket(gen: BlockGenerator, angle: float, j: float, psi: np.ndarray) -> np.ndarray:
-    """K_j psi for a ``gen.split`` generator without forming K_j:
-    D (+)_p V_p (e^{-i t w_p} * V_p^T (D^dag psi)_p), each parity's two real
-    half-size products taken on the (n, 2) float view of the complex slice."""
+    """K_j psi for a ``gen.split`` or ``gen.flip`` generator without forming
+    K_j: D T^T (+)_p V_p (e^{-i t w_p} * V_p^T (T D^dag psi)_p), T = ``_fold``
+    or the identity, each half's two real products taken on the (n, 2) float
+    view of the complex slice."""
     twoj = _twoj(j)
     w, v = _eigenpairs(gen, j)
     if gen.azimuth:
@@ -518,6 +587,8 @@ def _split_ket(gen: BlockGenerator, angle: float, j: float, psi: np.ndarray) -> 
         x = gauge.conj() * psi
     else:
         x = np.ascontiguousarray(psi, dtype=complex)
+    if gen.flip:
+        x = _fold(x)
     out = np.empty(twoj + 1, dtype=complex)
     x2, out2 = x.view(float).reshape(-1, 2), out.view(float).reshape(-1, 2)
     for p in (0, 1):
@@ -525,6 +596,8 @@ def _split_ket(gen: BlockGenerator, angle: float, j: float, psi: np.ndarray) -> 
         c = vp.T @ x2[p::2]  # (n, 2): the real and imaginary parts of V_p^T x_p
         c.view(complex)[:, 0] *= np.exp(-1j * angle * w[p::2])
         out2[p::2] = vp @ c
+    if gen.flip:
+        out = _unfold(out)
     if gen.azimuth:
         out *= gauge
     return out
@@ -575,7 +648,7 @@ def apply_gate(state: CollectiveState, spec: GateSpec) -> CollectiveState:
     ``_propagator``, applied and dropped; a phase vector p acts as the
     elementwise product rho * (p p^dag), or p * psi.  A ket forms no K_j
     under RX, RY or RN when its one nonzero entry is at m = +-j
-    (``_extreme_rotation``), nor under a parity-split generator
+    (``_extreme_rotation``), nor under a parity- or flip-split generator
     (``_split_ket``).  Unitary gates leave the active block set unchanged;
     a noise step reads rho and may activate neighboring blocks.  A
     non-unitary K's result is renormalized (rho by its trace, psi by its
@@ -588,7 +661,7 @@ def apply_gate(state: CollectiveState, spec: GateSpec) -> CollectiveState:
         rotated = _extreme_rotation(spec, angle, psi)
         if rotated is not None:
             psi = rotated
-        elif gen.split:
+        elif gen.split or gen.flip:
             psi = _split_ket(gen, angle, j, psi)
         else:
             k = _propagator(gen, angle, j)

@@ -2,20 +2,27 @@
 
 Hermitian, non-diagonal block generators keep their eigenpairs (w, V) in one
 byte-bounded LRU cache keyed by (2j, kind, axes, every parameter but the
-angle[, N/Lambda]).  Every Hermitian generator with band offsets {-2, 0, 2}
-keeps the two real parity halves of one real matrix as one entry: the
-quadratic rotations (GMS, RX2, RY2, OAT x|y) share those of J_x^2, keyed by
-(2j,) alone; TAT over x/y/z pairs and TNT(x|y, z) decompose G_j itself.  A
-key is stored on its second request, and a hit must give states
+angle[, N/Lambda]), in one of three eigen-forms:
+
+* the parity split: every Hermitian generator with band offsets {-2, 0, 2}
+  keeps the two real parity halves of one real matrix as one entry; the
+  quadratic rotations (GMS, RX2, RY2, OAT x|y) share those of J_x^2, keyed
+  by (2j,) alone; TAT over x/y/z pairs and TNT(x|y, z) decompose G_j itself;
+* the flip split: TNT(z, x) and TNT(z, y) keep the two real halves of
+  J_z^2 - w J_x folded by the storage reversal m -> -m as one real entry;
+* the dense complex eigh: RX, RY, RN and TNT(x|y, x|y).
+
+A key is stored on its second request, and a hit must give states
 bit-identical to a cold cache.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dickesim import CollectiveState, build_ledger, ground_state
+from dickesim import CollectiveState, build_ledger, css_state, ground_state
 from dickesim import gates
 from dickesim.gates import GateSpec, apply_gate, exponentiate, generator
 from dickesim.vqa import Ansatz, cost, grad_findiff
@@ -429,3 +436,98 @@ def test_parity_split_keeps_one_real_entry_per_block(spec, monkeypatch):
         assert w.shape == (twoj + 1,) and v.shape == (twoj + 1, twoj // 2 + 1)
     forbid_eigh(monkeypatch)
     assert_states_equal(cold, apply_gate(state, spec))
+
+
+# the kinds whose real R_j = J_z^2 - w J_x is unchanged by the storage
+# reversal m -> -m: TNT(z, x), and TNT(z, y) = D R D^dag, at two couplings
+FLIP_SPECS = tuple(GateSpec("TNT", (1.0, c), axes="z" + b) for b in "xy" for c in (2.5, -0.7))
+
+
+def flip_id(spec):
+    return f"TNT{''.join(spec.axes)}{spec.params[1:]}"
+
+
+@pytest.mark.parametrize("twoj", [0, 1, 2, 7, 80, 200, 400])
+@pytest.mark.parametrize("spec", FLIP_SPECS, ids=flip_id)
+def test_flip_split_matches_dense_eigh(spec, twoj):
+    # K from the two folded real halves, and a random ket's update, which
+    # forms no K_j, against exp(-i t G_j) from a dense complex eigh of G_j,
+    # in the bound of test_parity_split_matches_dense_eigh
+    j = twoj / 2.0
+    ledger = build_ledger(twoj or 2)
+    gen, _ = generator(spec, ledger, (j,))
+    w, v = np.linalg.eigh(gen.bands(j).dense())
+    rng = np.random.default_rng(2200 + twoj)
+    psi = rng.normal(size=twoj + 1) + 1j * rng.normal(size=twoj + 1)
+    state = CollectiveState._pure(ledger, j, psi / np.linalg.norm(psi))
+    for theta in (0.02, 1.0, np.pi, -np.pi):
+        want = (v * np.exp(-1j * theta * w)) @ v.conj().T
+        got = exponentiate(gen, theta)[j]
+        ket = apply_gate(state, GateSpec("TNT", (theta,) + spec.params[1:], spec.axes))._ket[1]
+        tol = 1e-14 + 8 * 2.2e-16 * abs(theta) * np.abs(w).max()
+        assert np.abs(got - want).max() <= tol, f"theta = {theta}"
+        assert np.abs(ket - want @ state._ket[1]).max() <= tol, f"theta = {theta}"
+
+
+def real_eigh_only(monkeypatch):
+    """Patch np.linalg.eigh to refuse complex input; returns the sizes seen."""
+    eigh, sizes = np.linalg.eigh, []
+
+    def real_only(a, *args, **kwargs):
+        assert not np.iscomplexobj(a), f"complex eigh of size {len(a)}"
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", real_only)
+    return sizes
+
+
+@pytest.mark.parametrize("spec", FLIP_SPECS, ids=flip_id)
+def test_flip_split_keeps_one_real_entry_per_block(spec, monkeypatch):
+    state, ket = mixed_state(7), css_state(7, 1.1, 2.3)
+    with monkeypatch.context() as patch:
+        sizes = real_eigh_only(patch)
+        cold, cold_ket = apply_gate(state, spec), apply_gate(ket, spec)
+        apply_gate(state, spec)
+    # real half-size eighs only: the largest block has d = 8
+    assert sizes and max(sizes) == 4
+    assert sorted(CACHE._entries) == sorted(
+        (int(2 * j),) + gates._gate_key(spec, 7) for j in state.active_js
+    )
+    for (twoj, *_), (w, v) in CACHE._entries.items():
+        assert w.dtype == v.dtype == np.float64
+        assert w.shape == (twoj + 1,) and v.shape == (twoj + 1, twoj // 2 + 1)
+    forbid_eigh(monkeypatch)
+    assert_states_equal(cold, apply_gate(state, spec))
+    assert np.array_equal(cold_ket._ket[1], apply_gate(ket, spec)._ket[1])
+
+
+def test_flip_split_at_2j_1000(monkeypatch):
+    # the folded halves of J_z^2 - w J_x at 2j = 1000 take 3.83 MiB, inside
+    # the budget.  A coherent ket's update matches K_j psi from a dense
+    # complex eigh; a hit is bit-identical to the cold first request and
+    # allocates a few (2j + 1)-vectors, no 16 MB K_j
+    state = css_state(1000, 1.1, 2.3)
+    spec = GateSpec("TNT", (0.3, 2.5), axes="zx")
+    j = 500.0
+    gen, theta = generator(spec, state.ledger, (j,))
+    w, v = np.linalg.eigh(gen.bands(j).dense())
+    psi = state._ket[1]
+    want = v @ (np.exp(-1j * theta * w) * (v.conj().T @ psi))
+    cold = apply_gate(state, spec)._ket[1]
+    apply_gate(state, spec)
+    key = (1000,) + gen.key
+    assert list(CACHE._entries) == [key]
+    w_half, v_half = CACHE._entries[key]
+    assert w_half.dtype == v_half.dtype == np.float64
+    assert w_half.shape == (1001,) and v_half.shape == (1001, 501)
+    forbid_eigh(monkeypatch)
+    tracemalloc.start()
+    try:
+        hit = apply_gate(state, spec)._ket[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert np.array_equal(cold, hit)
+    assert np.abs(cold - want).max() <= 1e-14 + 8 * 2.2e-16 * abs(theta) * np.abs(w).max()
