@@ -537,8 +537,8 @@ def _azimuth_phases(gen: BlockGenerator, j: float) -> np.ndarray:
 def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
     """K_j = exp(-i angle G_j), the one per-block kernel: the phase vector p
     of K_j = diag(p), or the matrix K_j, in the form G's band offsets
-    select; an azimuth picks R_j = J_x^2 and the phase gauge (see the module
-    docstring)."""
+    select; a split form takes K_j from R_j's two real halves and the phase
+    gauge (see the module docstring)."""
     if gen.offsets == {0}:
         return np.exp(-1j * angle * gen.bands(j).diags[0])
     if gen.offsets == {1}:
@@ -551,9 +551,9 @@ def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
         return expm(-1j * angle * gen.bands(j).dense())
     w, v = _eigenpairs(gen, j)
     if gen.split or gen.flip:
-        # M, a checkerboard: each parity's block V_p e^{-i t w_p} V_p^T as
-        # two real products, exact zeros between the parities; then, for an
-        # azimuth alpha != 0, K = D M D^dag with D = diag(p), p = e^{-i alpha m}
+        # M, a checkerboard: each half's block V_p e^{-i t w_p} V_p^T as two
+        # real products, exact zeros between the halves; K = T^T M T for the
+        # flip split, then, for alpha != 0, D K D^dag, D = diag(e^{-i alpha m})
         twoj = _twoj(j)
         k = np.zeros((twoj + 1, twoj + 1), dtype=complex)
         for p in (0, 1):
@@ -561,7 +561,7 @@ def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
             phase = angle * w[p::2]
             k.real[p::2, p::2] = (vp * np.cos(phase)) @ vp.T
             k.imag[p::2, p::2] = (vp * -np.sin(phase)) @ vp.T
-        if gen.flip:  # K = T^T M T
+        if gen.flip:
             k = _unfold(_unfold(k).T).T
         if gen.azimuth:
             p = _azimuth_phases(gen, j)
