@@ -18,39 +18,44 @@ collective operators:
 
 ``generator`` returns the recipe of G.  Run on a block's spin bands
 (``dicke.spin_bands``), it builds G_j as its diagonals at O(2j) cost; every
-catalog G has band offsets in -2..2, fixed by the kind and axes.  One
-per-block kernel, ``_propagator``, picks K_j's form from those offsets, on
-the blocks a state occupies only; ``exponentiate`` and ``apply_gate`` call
-it (the ket cases below excepted).  A Hermitian G_j's eigenpairs take one
-of three eigen-forms (``_eigenpairs``): the parity split, the flip split, or
-the dense complex eigh:
+catalog G has band offsets in -2..2, fixed by the kind and axes.  Only the
+blocks a state occupies are touched, each by one of two per-block kernels:
+``_split_apply`` for the parity and flip splits, which never forms K_j, and
+``_propagator``, which forms K_j in the form the offsets pick for every
+other G; ``exponentiate`` and ``apply_gate`` call both.  A Hermitian G_j's
+eigenpairs take one of three eigen-forms (``_eigenpairs``): the parity
+split, the flip split, or the dense complex eigh:
 
 * {0} (RZ, RZ2, OAT/TAT/TNT with all-z axes): the phase vector p,
   K_j = diag(p), applied to rho_j as the elementwise product with p p^dag;
 * {+1} (R_PLUS): the exact finite series of the nilpotent J_+, every term
   of every superdiagonal from one running product; {-1} (R_MINUS): the same
   series of its transpose, transposed back;
-* Hermitian G with offsets {-2, 0, 2}: a real R_j that never couples
-  storage indices of different parity, so its even and odd indices are two
-  real tridiagonal halves with a real eigh each.  TAT over two of x, y, z
-  and TNT(x|y, z) take R_j = G_j.  The quadratic rotations GMS(t, phi),
-  RX2, RY2 and OAT with axis x or y are G = D J_x^2 D^dag with
+* Hermitian G with offsets {-2, 0, 2}, the parity split: a real R_j that
+  never couples storage indices of different parity, so its even and odd
+  indices are two real tridiagonal halves with a real eigh each.  TAT over
+  two of x, y, z and TNT(x|y, z) take R_j = G_j.  The quadratic rotations
+  GMS(t, phi), RX2, RY2 and OAT with axis x or y are G = D J_x^2 D^dag with
   D = exp(-i alpha J_z) = diag(p), p = e^{-i alpha m}, and
   alpha = phi, 0, pi/2, 0, pi/2, so R_j = J_x^2, whose spectrum is exactly
   the m^2, serves them all, at every angle and azimuth, as Feng et al.
-  compute Wigner's d matrix (PRE 92, 043307 (2015)).  M is the checkerboard
-  of the halves' V_p e^{-i t w_p} V_p^T, each as two real products, with
-  exact zeros between the parities, and K_j[a, b] = p_a M[a, b] conj(p_b);
+  compute Wigner's d matrix (PRE 92, 043307 (2015));
 * TNT(z, x) and TNT(z, y), the flip split: R_j = J_z^2 - w J_x is real,
   tridiagonal and invariant under the storage reversal m -> -m, and
   TNT(z, y) is D R D^dag at alpha = pi/2.  The butterfly T onto
   (e_a +- e_{d-1-a})/sqrt2 (and the middle e_h for odd d) folds R_j into
   two real tridiagonal halves (Feng et al. use the same symmetry), stored
-  as the parity halves are, and K_j = D T^T M T D^dag;
+  as the parity halves are;
 * other Hermitian G (RX, RY, RN, TNT(x|y, x|y)): eigenpairs of the dense
   complex G_j;
 * other non-Hermitian G (TAT/TNT with a plus or minus axis): scipy's Pade
   expm, imported on first use, so no other path loads SciPy.
+
+Both splits give K_j = D T^T (+)_p V_p e^{-i t w_p} V_p^T T D^dag, T the
+identity for the parity split, and ``_split_apply`` takes x to K_j x along
+axis 0 with two real half-size products per half, on the float view of
+the complex x: a ket takes it once, rho twice, as (K (K rho)^dag)^dag, and
+``exponentiate``'s K_j is its image of the identity.
 
 A non-Hermitian G gives a non-unitary K: the conjugated state is renormalized
 to unit trace and flagged ``conditional`` (the map is not trace preserving).
@@ -68,10 +73,7 @@ array, in two cases:
   takes the rule.  A tag would carry the O(2j) form through whole
   RX/RY/RZ layers and change the cost scaling that acceptance criterion 9
   times, which is left to its own decision (ROADMAP, D2);
-* a parity- or flip-split G:
-  psi' = D T^T (+)_p V_p (e^{-i t w_p} * V_p^T (T D^dag psi)_p), T the
-  identity for the parity split, two real half-size products per half on
-  the (n, 2) float view of the complex slice.
+* a parity- or flip-split G, by ``_split_apply``.
 
 Under any other G a ket takes K_j as one matrix-vector product K psi, or
 p * psi for a phase vector, instead of the two matrix products of
@@ -83,8 +85,8 @@ J_x^2's halves are keyed by 2j alone.  Any other G_j depends on 2j and on every 
 parameter except the angle (and, for TNT, on N/Lambda), and so does its
 key; RN's azimuth is part of it.  A key is stored on its second request
 only, so gates whose azimuth is drawn afresh each time never fill it.  A hit
-skips the generator build and the eigh, and gives K_j, or a split ket, bit
-for bit as a miss does.
+skips the generator build and the eigh, and gives K_j, or a split update,
+bit for bit as a miss does.
 """
 
 from __future__ import annotations
@@ -349,20 +351,20 @@ def _fold(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _unfold(y: np.ndarray) -> np.ndarray:
-    """T^T y along axis 0, the inverse of ``_fold``."""
-    h, x = y.shape[0] // 2, np.empty_like(y)
+def _unfold(y: np.ndarray, x: np.ndarray) -> None:
+    """x = T^T y along axis 0, the inverse of ``_fold``, into x."""
+    h = y.shape[0] // 2
     sym, anti = y[: 2 * h : 2], y[1 : 2 * h : 2]
     x[:h] = (sym + anti) * np.sqrt(0.5)
     x[::-1][:h] = (sym - anti) * np.sqrt(0.5)
     x[h : y.shape[0] - h] = y[2 * h :]
-    return x
 
 
 # Byte budget of the eigenpair cache.  It must hold the working set of a
 # repeated noiseless layer: RX and RY at 2j + 1 = 201 take about 1.3 MB; at
-# 1 MiB that layer thrashed the cache at N = 200.
-EIGENPAIR_CACHE_BYTES = 4 * 2**20
+# 1 MiB that layer thrashed the cache at N = 200.  At N = 1000 the ansatz's
+# TNT(zx) and TAT(zy) take 3.83 MiB each, and at 4 MiB each evicted the other.
+EIGENPAIR_CACHE_BYTES = 8 * 2**20
 # Keys requested once and not stored yet; oldest forgotten first.
 _SEEN_ONCE_KEYS = 4096
 
@@ -535,10 +537,10 @@ def _azimuth_phases(gen: BlockGenerator, j: float) -> np.ndarray:
 
 
 def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
-    """K_j = exp(-i angle G_j), the one per-block kernel: the phase vector p
+    """K_j = exp(-i angle G_j) for a generator with no factored kernel (not
+    ``gen.split`` or ``gen.flip``, see ``_split_apply``): the phase vector p
     of K_j = diag(p), or the matrix K_j, in the form G's band offsets
-    select; a split form takes K_j from R_j's two real halves and the phase
-    gauge (see the module docstring)."""
+    select (see the module docstring)."""
     if gen.offsets == {0}:
         return np.exp(-1j * angle * gen.bands(j).diags[0])
     if gen.offsets == {1}:
@@ -550,24 +552,6 @@ def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
 
         return expm(-1j * angle * gen.bands(j).dense())
     w, v = _eigenpairs(gen, j)
-    if gen.split or gen.flip:
-        # M, a checkerboard: each half's block V_p e^{-i t w_p} V_p^T as two
-        # real products, exact zeros between the halves; K = T^T M T for the
-        # flip split, then, for alpha != 0, D K D^dag, D = diag(e^{-i alpha m})
-        twoj = _twoj(j)
-        k = np.zeros((twoj + 1, twoj + 1), dtype=complex)
-        for p in (0, 1):
-            vp = v[p::2, : (twoj + 2 - p) // 2]
-            phase = angle * w[p::2]
-            k.real[p::2, p::2] = (vp * np.cos(phase)) @ vp.T
-            k.imag[p::2, p::2] = (vp * -np.sin(phase)) @ vp.T
-        if gen.flip:
-            k = _unfold(_unfold(k).T).T
-        if gen.azimuth:
-            p = _azimuth_phases(gen, j)
-            k *= p[:, None]
-            k *= p.conj()
-        return k
     # (V e^{-i t w}) V^dag as conj(conj(V e^{-i t w}) V^T), conjugated in
     # place: the same bits, with two (2j+1)^2 temporaries fewer
     k = v * np.exp(-1j * angle * w)
@@ -575,32 +559,27 @@ def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
     return np.conjugate(k, out=k)
 
 
-def _split_ket(gen: BlockGenerator, angle: float, j: float, psi: np.ndarray) -> np.ndarray:
-    """K_j psi for a ``gen.split`` or ``gen.flip`` generator without forming
-    K_j: D T^T (+)_p V_p (e^{-i t w_p} * V_p^T (T D^dag psi)_p), T = ``_fold``
-    or the identity, each half's two real products taken on the (n, 2) float
-    view of the complex slice."""
-    twoj = _twoj(j)
-    w, v = _eigenpairs(gen, j)
+def _split_apply(gen: BlockGenerator, pair: tuple, angle: float, j: float, x: np.ndarray) -> None:
+    """x = K_j x along axis 0, in place, for a ``gen.split`` or ``gen.flip``
+    generator with eigenpairs ``pair`` (``_eigenpairs``), without forming K_j
+    (see the module docstring; T = ``_fold``).  x is a fresh C-contiguous
+    complex array of shape (d,) or (d, m), taken on its float view."""
+    w, v = pair
+    x = x.reshape(x.shape[0], -1)  # a view: x is C-contiguous
     if gen.azimuth:
-        gauge = _azimuth_phases(gen, j)
-        x = gauge.conj() * psi
-    else:
-        x = np.ascontiguousarray(psi, dtype=complex)
-    if gen.flip:
-        x = _fold(x)
-    out = np.empty(twoj + 1, dtype=complex)
-    x2, out2 = x.view(float).reshape(-1, 2), out.view(float).reshape(-1, 2)
+        gauge = _azimuth_phases(gen, j)[:, None]
+        np.multiply(gauge.conj(), x, out=x)
+    y = _fold(x) if gen.flip else x
+    y2 = y.view(float)
     for p in (0, 1):
-        vp = v[p::2, : (twoj + 2 - p) // 2]
-        c = vp.T @ x2[p::2]  # (n, 2): the real and imaginary parts of V_p^T x_p
-        c.view(complex)[:, 0] *= np.exp(-1j * angle * w[p::2])
-        out2[p::2] = vp @ c
+        vp = v[p::2, : (x.shape[0] + 1 - p) // 2]
+        c = vp.T @ y2[p::2]  # the real and imaginary parts of V_p^T y_p, interleaved
+        c.view(complex)[:] *= np.exp(-1j * angle * w[p::2])[:, None]
+        y2[p::2] = vp @ c
     if gen.flip:
-        out = _unfold(out)
+        _unfold(y, x)
     if gen.azimuth:
-        out *= gauge
-    return out
+        x *= gauge
 
 
 def _extreme_rotation(spec: GateSpec, angle: float, psi: np.ndarray) -> np.ndarray | None:
@@ -629,9 +608,17 @@ def _extreme_rotation(spec: GateSpec, angle: float, psi: np.ndarray) -> np.ndarr
 
 def exponentiate(operator: BlockGenerator, angle: float) -> dict[float, np.ndarray]:
     """Per-block matrices exp(-i * angle * G_j) on the generator's blocks,
-    from the kernel ``apply_gate`` uses."""
-    ks = {j: _propagator(operator, angle, j) for j in operator.js}
-    return {j: np.diag(k) if k.ndim == 1 else k for j, k in ks.items()}
+    from the kernel ``apply_gate`` uses: for a split generator
+    ``_split_apply`` on the identity, else ``_propagator``."""
+    ks = {}
+    for j in operator.js:
+        if operator.split or operator.flip:
+            k = np.eye(_twoj(j) + 1, dtype=complex)
+            _split_apply(operator, _eigenpairs(operator, j), angle, j, k)
+        else:
+            k = _propagator(operator, angle, j)
+        ks[j] = np.diag(k) if k.ndim == 1 else k
+    return ks
 
 
 def _normalization(total: float, kind: str) -> float:
@@ -644,25 +631,29 @@ def apply_gate(state: CollectiveState, spec: GateSpec) -> CollectiveState:
     """rho -> K rho K^dag per active block, or psi -> K psi for a state held
     as a ket, then the optional noise channel.
 
-    Each active block is handled on its own: its K_j is formed by
-    ``_propagator``, applied and dropped; a phase vector p acts as the
-    elementwise product rho * (p p^dag), or p * psi.  A ket forms no K_j
-    under RX, RY or RN when its one nonzero entry is at m = +-j
-    (``_extreme_rotation``), nor under a parity- or flip-split generator
-    (``_split_ket``).  Unitary gates leave the active block set unchanged;
-    a noise step reads rho and may activate neighboring blocks.  A
-    non-unitary K's result is renormalized (rho by its trace, psi by its
-    norm) and flagged conditional; a ket stays a ket.
+    Each active block is handled on its own.  A parity- or flip-split
+    generator forms no K_j: ``_split_apply`` takes psi to K psi, and rho to
+    (K (K rho)^dag)^dag, two applications from one eigenpair fetch.  Any
+    other generator's K_j is formed by ``_propagator``, applied and dropped;
+    a phase vector p acts as the elementwise product rho * (p p^dag), or
+    p * psi.  A ket forms no K_j under RX, RY or RN either when its one
+    nonzero entry is at m = +-j (``_extreme_rotation``).  Unitary gates
+    leave the active block set unchanged; a noise step reads rho and may
+    activate neighboring blocks.  A non-unitary K's result is renormalized
+    (rho by its trace, psi by its norm) and flagged conditional; a ket
+    stays a ket.
     """
     gen, angle = generator(spec, state.ledger, state.active_js)
     conditional = state.conditional or not gen.hermitian
+    split = gen.split or gen.flip
     if state._ket is not None:
         j, psi = state._ket
         rotated = _extreme_rotation(spec, angle, psi)
         if rotated is not None:
             psi = rotated
-        elif gen.split or gen.flip:
-            psi = _split_ket(gen, angle, j, psi)
+        elif split:
+            psi = np.array(psi, dtype=complex)
+            _split_apply(gen, _eigenpairs(gen, j), angle, j, psi)
         else:
             k = _propagator(gen, angle, j)
             psi = k * psi if k.ndim == 1 else k @ psi
@@ -672,6 +663,13 @@ def apply_gate(state: CollectiveState, spec: GateSpec) -> CollectiveState:
     else:
         blocks = {}
         for j, rho in state.items():
+            if split:  # (K (K rho)^dag)^dag, each ^dag a fresh C-contiguous array
+                pair, x = _eigenpairs(gen, j), np.array(rho, dtype=complex)
+                for _ in range(2):
+                    _split_apply(gen, pair, angle, j, x)
+                    x = np.conjugate(x.T, order="C")
+                blocks[j] = x
+                continue
             k = _propagator(gen, angle, j)
             if k.ndim == 1:
                 blocks[j] = rho * np.outer(k, k.conj())

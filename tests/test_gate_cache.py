@@ -189,9 +189,10 @@ def test_cached_arrays_are_read_only():
 
 
 def test_cached_bytes_stay_within_budget_at_n_400():
-    # one 401 x 401 block: an entry takes about 2.6 MB, so RX and RY together
-    # exceed the 4 MiB budget and the older one must go
-    state = ground_state(400)
+    # one 601 x 601 block: an entry takes about 5.78 MB, so RX and RY together
+    # exceed the 8 MiB budget and the older one must go (the test keeps its
+    # name from the 4 MiB budget, when N = 400 was enough)
+    state = ground_state(600)
     for spec in (GateSpec("RX", (0.2,)), GateSpec("RY", (0.3,))) * 3:
         state = apply_gate(state, spec)
         assert 0 <= CACHE.nbytes <= gates.EIGENPAIR_CACHE_BYTES
@@ -467,6 +468,81 @@ def test_flip_split_matches_dense_eigh(spec, twoj):
         tol = 1e-14 + 8 * 2.2e-16 * abs(theta) * np.abs(w).max()
         assert np.abs(got - want).max() <= tol, f"theta = {theta}"
         assert np.abs(ket - want @ state._ket[1]).max() <= tol, f"theta = {theta}"
+
+
+# every parity- or flip-split kind and axis pair once: the quadratic
+# rotations, TAT over two of x, y, z, TNT(x|y, z) and TNT(z, x|y)
+SPLIT_SPECS = (
+    GateSpec("RX2", (1.0,)),
+    GateSpec("RY2", (1.0,)),
+    GateSpec("OAT", (1.0,), axes="x"),
+    GateSpec("OAT", (1.0,), axes="y"),
+    GateSpec("GMS", (1.0, 0.8)),
+) + PARITY_SPECS[:6] + tuple(GateSpec("TNT", (1.0, 2.5), axes=a) for a in ("xz", "yz", "zx", "zy"))
+
+
+@pytest.mark.parametrize("spec", SPLIT_SPECS, ids=lambda s: f"{s.kind}{''.join(s.axes or ())}")
+def test_split_gate_on_rho_matches_dense_eigh(spec):
+    # rho -> (K (K rho)^dag)^dag from the split kernel, which forms no K_j,
+    # against V e^{-i t w} V^dag rho (.)^dag from a dense complex eigh of G_j,
+    # in the bound of test_parity_split_matches_dense_eigh scaled by ||rho||
+    for twoj in (0, 1, 2, 7, 80, 200):
+        j = twoj / 2.0
+        ledger = build_ledger(twoj or 2)
+        gen, _ = generator(spec, ledger, (j,))
+        assert gen.split or gen.flip
+        w, v = np.linalg.eigh(gen.bands(j).dense())
+        rng = np.random.default_rng(2300 + twoj)
+        a = rng.normal(size=(twoj + 1, twoj + 1)) + 1j * rng.normal(size=(twoj + 1, twoj + 1))
+        rho = a @ a.conj().T
+        state = CollectiveState(ledger, {j: rho / np.trace(rho).real})
+        rho = state.block(j)
+        for theta in (0.02, 1.0, np.pi, -np.pi):
+            k = (v * np.exp(-1j * theta * w)) @ v.conj().T
+            got = apply_gate(state, GateSpec(spec.kind, (theta,) + spec.params[1:], spec.axes))
+            assert got.active_js == (j,) and not got.conditional
+            tol = (1e-14 + 8 * 2.2e-16 * abs(theta) * np.abs(w).max()) * np.linalg.norm(rho, 2)
+            diff = np.abs(got.block(j) - k @ rho @ k.conj().T).max()
+            assert diff <= tol, f"2j = {twoj}, theta = {theta}"
+
+
+def test_split_gate_on_rho_admits_on_second_use():
+    # one eigenpair fetch per block per gate, although rho takes the split
+    # kernel twice: the first gate stores nothing, the second one entry per
+    # active block, and the blocks handed over are C-contiguous
+    state = mixed_state(7)
+    for spec in (GateSpec("GMS", (0.45, 0.8)), GateSpec("TNT", (0.35, 2.5), axes="zy")):
+        CACHE.clear()
+        apply_gate(state, spec)
+        assert len(CACHE) == 0
+        out = apply_gate(state, spec)
+        assert sorted(CACHE._entries) == sorted(
+            (int(2 * j),) + gates._gate_key(spec, 7) for j in state.active_js
+        )
+        assert all(rho.flags.c_contiguous for _, rho in out.items())
+
+
+def test_split_gate_on_rho_allocates_under_three_blocks():
+    # x = K rho, its conjugate transpose and the result, with each half's
+    # products: with a warm cache a split gate on one block peaks at about
+    # 2.2 d x d complex arrays, 3.4 for the flip split's folded copy (the
+    # K_j checkerboard took 3.0 and 3.9), so no block is copied again on its
+    # way into the new state
+    d = 201
+    ledger = build_ledger(d - 1)
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    state = CollectiveState(ledger, {(d - 1) / 2: a @ a.conj().T / np.trace(a @ a.conj().T).real})
+    for spec, blocks in ((GateSpec("GMS", (0.45, 0.8)), 3.0), (GateSpec("TNT", (0.3, 2.5), axes="zx"), 4.0)):
+        for _ in range(2):
+            apply_gate(state, spec)
+        tracemalloc.start()
+        try:
+            apply_gate(state, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < blocks * 16 * d * d, spec
 
 
 def real_eigh_only(monkeypatch):
