@@ -509,20 +509,19 @@ def test_split_gate_on_rho_matches_dense_eigh(spec):
 def test_split_gate_on_rho_admits_on_second_use():
     # one eigenpair fetch per block per gate, although rho takes the split
     # kernel twice: the first gate stores nothing, the second one entry per
-    # active block, and the blocks handed over are C-contiguous
+    # active block
     state = mixed_state(7)
     for spec in (GateSpec("GMS", (0.45, 0.8)), GateSpec("TNT", (0.35, 2.5), axes="zy")):
         CACHE.clear()
         apply_gate(state, spec)
         assert len(CACHE) == 0
-        out = apply_gate(state, spec)
+        apply_gate(state, spec)
         assert sorted(CACHE._entries) == sorted(
             (int(2 * j),) + gates._gate_key(spec, 7) for j in state.active_js
         )
-        assert all(rho.flags.c_contiguous for _, rho in out.items())
 
 
-def test_split_gate_on_rho_allocates_under_three_blocks():
+def test_split_gate_on_rho_copies_no_block_again():
     # x = K rho, its conjugate transpose and the result, with each half's
     # products: with a warm cache a split gate on one block peaks at about
     # 2.2 d x d complex arrays, 3.4 for the flip split's folded copy (the
