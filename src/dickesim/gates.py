@@ -19,15 +19,16 @@ collective operators:
 ``generator`` returns the recipe of G.  Run on a block's spin bands
 (``dicke.spin_bands``), it builds G_j as its diagonals at O(2j) cost; every
 catalog G has band offsets in -2..2, fixed by the kind and axes.  Only the
-blocks a state occupies are touched, each by one of two per-block kernels:
-``_split_apply`` for the parity and flip splits, which never forms K_j, and
-``_propagator``, which forms K_j in the form the offsets pick for every
-other G; ``exponentiate`` and ``apply_gate`` call both.  A Hermitian G_j's
-eigenpairs take one of three eigen-forms (``_eigenpairs``): the parity
-split, the flip split, or the dense complex eigh:
+blocks a state occupies are touched, each by one per-block update
+x -> K_j x along axis 0 (``_update``): a ket takes it once, rho twice, as
+(K (K rho)^dag)^dag, and ``exponentiate``'s K_j is its image of the
+identity.  The update fetches the block's kernel once, in the form the
+offsets pick; a Hermitian G_j's eigenpairs take one of three eigen-forms
+(``_eigenpairs``): the parity split, the flip split, or the dense complex
+eigh:
 
-* {0} (RZ, RZ2, OAT/TAT/TNT with all-z axes): the phase vector p,
-  K_j = diag(p), applied to rho_j as the elementwise product with p p^dag;
+* {0} (RZ, RZ2, OAT/TAT/TNT with all-z axes): the phase vector p of
+  K_j = diag(p), applied as the product p x;
 * {+1} (R_PLUS): the exact finite series of the nilpotent J_+, every term
   of every superdiagonal from one running product; {-1} (R_MINUS): the same
   series of its transpose, transposed back;
@@ -52,15 +53,15 @@ split, the flip split, or the dense complex eigh:
   expm, imported on first use, so no other path loads SciPy.
 
 Both splits give K_j = D T^T (+)_p V_p e^{-i t w_p} V_p^T T D^dag, T the
-identity for the parity split, and ``_split_apply`` takes x to K_j x along
-axis 0 with two real half-size products per half, on the float view of
-the complex x: a ket takes it once, rho twice, as (K (K rho)^dag)^dag, and
-``exponentiate``'s K_j is its image of the identity.
+identity for the parity split, and ``_split_apply`` takes x to K_j x with
+two real half-size products per half, on the float view of the complex x,
+without forming K_j.  Every other G's K_j is formed by ``_propagator`` and
+applied as the product K_j x.
 
 A non-Hermitian G gives a non-unitary K: the conjugated state is renormalized
-to unit trace and flagged ``conditional`` (the map is not trace preserving).
-A state held as a ket (see ``dicke``) forms no K_j, and no (2j+1)^2
-array, in two cases:
+to unit trace (a ket to unit norm) and flagged ``conditional`` (the map is
+not trace preserving).  A state held as a ket (see ``dicke``) forms no K_j,
+and no (2j+1)^2 array, in two cases:
 
 * an extreme ket, whose one nonzero entry psi_e sits at m = j or m = -j,
   under RX, RY or RN(t, phi): it is every spin up (down), so the rotation
@@ -74,10 +75,6 @@ array, in two cases:
   RX/RY/RZ layers and change the cost scaling that acceptance criterion 9
   times, which is left to its own decision (ROADMAP, D2);
 * a parity- or flip-split G, by ``_split_apply``.
-
-Under any other G a ket takes K_j as one matrix-vector product K psi, or
-p * psi for a phase vector, instead of the two matrix products of
-K rho K^dag; a non-unitary K's ket is renormalized to unit norm.
 
 ``_eigenpairs`` keeps the eigenpairs of all three forms in one byte-bounded
 LRU cache shared by every call; both halves of a split R_j are one real entry.
@@ -150,6 +147,15 @@ def _parse_axes(text: str) -> tuple[str, ...]:
     return tuple(tokens)
 
 
+def _as_float(value) -> float:
+    """float(value), with an integer too large for a float read as the
+    infinity it rounds toward, so the finiteness rules below reject it."""
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf
+
+
 @dataclass(frozen=True)
 class GateSpec:
     """One catalog gate: kind, parameters, optional axes and noise strength."""
@@ -164,7 +170,7 @@ class GateSpec:
         if kind not in GATE_KINDS:
             raise DomainError(f"unknown gate kind {self.kind!r}")
         n_params, axes_arity = GATE_KINDS[kind]
-        params = tuple(float(p) for p in self.params)
+        params = tuple(_as_float(p) for p in self.params)
         if len(params) != n_params:
             raise DomainError(f"{kind} takes {n_params} parameter(s), got {len(params)}")
         for i, p in enumerate(params):  # an infinite TNT coupling is N/Lambda = 0
@@ -192,9 +198,9 @@ class GateSpec:
             raise DomainError("TNT coupling must be nonzero")
         noise = self.noise
         if noise is not None:
-            noise = float(noise)
+            noise = _as_float(noise)
             if not 0.0 <= noise <= 1.0:
-                raise DomainError(f"noise must lie in [0, 1], got {noise}")
+                raise DomainError(f"{kind} noise must lie in [0, 1], got {noise}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "axes", axes)
@@ -559,17 +565,20 @@ def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
     return np.conjugate(k, out=k)
 
 
-def _split_apply(gen: BlockGenerator, pair: tuple, angle: float, j: float, x: np.ndarray) -> None:
+def _split_apply(
+    gen: BlockGenerator, pair: tuple, angle: float, j: float, x: np.ndarray
+) -> np.ndarray:
     """x = K_j x along axis 0, in place, for a ``gen.split`` or ``gen.flip``
     generator with eigenpairs ``pair`` (``_eigenpairs``), without forming K_j
-    (see the module docstring; T = ``_fold``).  x is a fresh C-contiguous
-    complex array of shape (d,) or (d, m), taken on its float view."""
+    (see the module docstring; T = ``_fold``); returns x.  x is a writable
+    C-contiguous complex array of shape (d,) or (d, m), taken on its float
+    view."""
     w, v = pair
-    x = x.reshape(x.shape[0], -1)  # a view: x is C-contiguous
+    x2 = x.reshape(x.shape[0], -1)  # a view: x is C-contiguous
     if gen.azimuth:
         gauge = _azimuth_phases(gen, j)[:, None]
-        np.multiply(gauge.conj(), x, out=x)
-    y = _fold(x) if gen.flip else x
+        np.multiply(gauge.conj(), x2, out=x2)
+    y = _fold(x2) if gen.flip else x2
     y2 = y.view(float)
     for p in (0, 1):
         vp = v[p::2, : (x.shape[0] + 1 - p) // 2]
@@ -577,9 +586,25 @@ def _split_apply(gen: BlockGenerator, pair: tuple, angle: float, j: float, x: np
         c.view(complex)[:] *= np.exp(-1j * angle * w[p::2])[:, None]
         y2[p::2] = vp @ c
     if gen.flip:
-        _unfold(y, x)
+        _unfold(y, x2)
     if gen.azimuth:
-        x *= gauge
+        x2 *= gauge
+    return x
+
+
+def _update(gen: BlockGenerator, angle: float, j: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The map x -> K_j x along axis 0, for x of shape (d,) or (d, m), from
+    one fetch of block j's kernel: the split update ``_split_apply``, which
+    overwrites x unless x is read-only, or the product with the phase vector
+    p or the matrix K_j of ``_propagator``.  Each returns a fresh (or the
+    overwritten) C-contiguous array."""
+    if gen.split or gen.flip:
+        pair = _eigenpairs(gen, j)
+        return lambda x: _split_apply(gen, pair, angle, j, np.require(x, complex, "CW"))
+    k = _propagator(gen, angle, j)
+    if k.ndim == 1:
+        return lambda x: k.reshape(k.shape + (1,) * (x.ndim - 1)) * x
+    return lambda x: k @ x
 
 
 def _extreme_rotation(spec: GateSpec, angle: float, psi: np.ndarray) -> np.ndarray | None:
@@ -607,18 +632,10 @@ def _extreme_rotation(spec: GateSpec, angle: float, psi: np.ndarray) -> np.ndarr
 
 
 def exponentiate(operator: BlockGenerator, angle: float) -> dict[float, np.ndarray]:
-    """Per-block matrices exp(-i * angle * G_j) on the generator's blocks,
-    from the kernel ``apply_gate`` uses: for a split generator
-    ``_split_apply`` on the identity, else ``_propagator``."""
-    ks = {}
-    for j in operator.js:
-        if operator.split or operator.flip:
-            k = np.eye(_twoj(j) + 1, dtype=complex)
-            _split_apply(operator, _eigenpairs(operator, j), angle, j, k)
-        else:
-            k = _propagator(operator, angle, j)
-        ks[j] = np.diag(k) if k.ndim == 1 else k
-    return ks
+    """Per-block matrices exp(-i * angle * G_j) on the generator's blocks:
+    the per-block update ``apply_gate`` uses (``_update``), applied to the
+    identity."""
+    return {j: _update(operator, angle, j)(np.eye(_twoj(j) + 1, dtype=complex)) for j in operator.js}
 
 
 def _normalization(total: float, kind: str) -> float:
@@ -631,12 +648,9 @@ def apply_gate(state: CollectiveState, spec: GateSpec) -> CollectiveState:
     """rho -> K rho K^dag per active block, or psi -> K psi for a state held
     as a ket, then the optional noise channel.
 
-    Each active block is handled on its own.  A parity- or flip-split
-    generator forms no K_j: ``_split_apply`` takes psi to K psi, and rho to
-    (K (K rho)^dag)^dag, two applications from one eigenpair fetch.  Any
-    other generator's K_j is formed by ``_propagator``, applied and dropped;
-    a phase vector p acts as the elementwise product rho * (p p^dag), or
-    p * psi.  A ket forms no K_j under RX, RY or RN either when its one
+    Each active block is handled on its own, by one per-block update
+    x -> K_j x (``_update``): a ket takes it once, and rho takes it twice, as
+    (K (K rho)^dag)^dag.  A ket forms no K_j under RX, RY or RN when its one
     nonzero entry is at m = +-j (``_extreme_rotation``).  Unitary gates
     leave the active block set unchanged; a noise step reads rho and may
     activate neighboring blocks.  A non-unitary K's result is renormalized
@@ -645,37 +659,21 @@ def apply_gate(state: CollectiveState, spec: GateSpec) -> CollectiveState:
     """
     gen, angle = generator(spec, state.ledger, state.active_js)
     conditional = state.conditional or not gen.hermitian
-    split = gen.split or gen.flip
     if state._ket is not None:
         j, psi = state._ket
         rotated = _extreme_rotation(spec, angle, psi)
-        if rotated is not None:
-            psi = rotated
-        elif split:
-            psi = np.array(psi, dtype=complex)
-            _split_apply(gen, _eigenpairs(gen, j), angle, j, psi)
-        else:
-            k = _propagator(gen, angle, j)
-            psi = k * psi if k.ndim == 1 else k @ psi
+        psi = _update(gen, angle, j)(psi) if rotated is None else rotated
         if not gen.hermitian:
             psi /= _normalization(np.linalg.norm(psi), spec.kind)
         out = CollectiveState._pure(state.ledger, j, psi, conditional)
     else:
         blocks = {}
-        for j, rho in state.items():
-            if split:  # (K (K rho)^dag)^dag, each ^dag a fresh C-contiguous array
-                pair, x = _eigenpairs(gen, j), np.array(rho, dtype=complex)
-                for _ in range(2):
-                    _split_apply(gen, pair, angle, j, x)
-                    x = np.conjugate(x.T, order="C")
-                blocks[j] = x
-                continue
-            k = _propagator(gen, angle, j)
-            if k.ndim == 1:
-                blocks[j] = rho * np.outer(k, k.conj())
-            else:
-                t = k @ rho
-                blocks[j] = t @ np.conjugate(k, out=k).T  # k is this call's own array
+        for j, x in state.items():
+            update = _update(gen, angle, j)
+            for _ in range(2):  # each ^dag a fresh C-contiguous array
+                x = update(x)  # rebound first, so the old x is dropped before the ^dag
+                x = np.conjugate(x.T, order="C")
+            blocks[j] = x
         if not gen.hermitian:
             total = _normalization(sum(np.trace(b).real for b in blocks.values()), spec.kind)
             blocks = {j: b / total for j, b in blocks.items()}

@@ -76,9 +76,9 @@ def probabilities(state: CollectiveState) -> ProbTable:
         diags = ((j, rho.diagonal().real) for j, rho in state.items())
     entries = []
     for j, diag in diags:
-        if diag.min() < -_CLAMP_TOL:
+        if not diag.min() >= -_CLAMP_TOL:  # written so that a NaN fails it too
             raise NumericError(
-                f"negative probability {diag.min():.3e} in block j = {j}"
+                f"negative or NaN probability {diag.min():.3e} in block j = {j}"
             )
         ms = state.ledger.m_values(j)
         for m, p in zip(ms, np.maximum(diag, 0.0)):

@@ -225,24 +225,26 @@ def forms_k(spec):
 
 @pytest.mark.parametrize("spec", [s for s in ONE_PER_KIND if forms_k(s)], ids=lambda s: s.kind)
 def test_apply_gate_conjugates_by_exponentiate(spec):
-    # apply_gate and exponentiate share one kernel, so K rho K^dag with K from
-    # exponentiate (then the conditional renormalization) is apply_gate's
-    # state bit for bit.  A generator with band offsets {0} gives a diagonal
-    # K = diag(p), applied as rho * (p p^dag).
+    # apply_gate and exponentiate share one per-block update, so
+    # (K (K rho)^dag)^dag with K from exponentiate (then the conditional
+    # renormalization) is apply_gate's state bit for bit.  A generator with
+    # band offsets {0} gives a diagonal K = diag(p), applied as the product
+    # with p.
     assert {s.kind for s in ONE_PER_KIND} == set(CATALOG)
     state = random_mixed_state(np.random.default_rng(17), 7)
     gen, angle = generator(spec, state.ledger, state.active_js)
     kmats = exponentiate(gen, angle)
     assert tuple(kmats) == state.active_js
     want = {}
-    for j, rho in state.items():
+    for j, x in state.items():
         k = kmats[j]
         if gen.offsets == {0}:
-            p = k.diagonal()
-            assert np.array_equal(k, np.diag(p))
-            want[j] = rho * np.outer(p, p.conj())
-        else:
-            want[j] = k @ rho @ k.conj().T
+            assert np.array_equal(k, np.diag(k.diagonal()))
+            k = k.diagonal()[:, None]
+        for _ in range(2):
+            x = k * x if gen.offsets == {0} else k @ x
+            x = np.conjugate(x.T, order="C")
+        want[j] = x
     if not gen.hermitian:
         total = sum(np.trace(b).real for b in want.values())
         want = {j: b / total for j, b in want.items()}

@@ -117,6 +117,46 @@ class TestRun:
         assert main(["run", str(path)]) == 0
 
     @pytest.mark.parametrize("gate", [
+        '{"kind": "RX", "params": [%s]}',
+        '{"kind": "RX", "params": [0.1], "noise": %s}',
+    ])
+    def test_integer_too_large_for_a_float_exit_3(self, tmp_path, capsys, gate):
+        # a 400-digit JSON integer is read as the infinity it rounds toward
+        path = tmp_path / "big.json"
+        gates = '{"kind": "RZ", "params": [0.1]}, ' + gate % ("9" * 400)
+        path.write_text('{"n": 4, "gates": [%s]}' % gates)
+        out = tmp_path / "p.csv"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: gate #2: RX ") and "inf" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_integer_tnt_coupling_too_large_for_a_float_is_infinite(self, tmp_path, capsys):
+        # Lambda = 10^400 is Lambda = infinity, as the JSON float 1e400 is
+        path = tmp_path / "tnt.json"
+        tnt = ('{"n": 4, "gates": [{"kind": "RX", "params": [0.7]},'
+               ' {"kind": "TNT", "params": [0.3, %s], "axes": "zx"}]}')
+        outs = []
+        for value in ("1" + "0" * 400, "1e400"):
+            path.write_text(tnt % value)
+            assert main(["run", str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_nan_probability_exit_4_writes_nothing(self, tmp_path, capsys):
+        # RZ2's phase argument theta * m^2 overflows: NaN probabilities at m = +-2
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"n": 4, "gates": [
+            {"kind": "RX", "params": [0.3]}, {"kind": "RZ2", "params": [1e308]},
+        ]}))
+        out = tmp_path / "p.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", str(path), "--shots", "10", "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "NaN probability" in captured.err
+        assert not out.exists() and not (tmp_path / "p.csv.counts.csv").exists()
+
+    @pytest.mark.parametrize("gate", [
         '"TAT", "params": [0.1], "axes": ["x", "y"]',
         '"OAT", "params": [0.1], "axes": 5',
         '"RX", "params": [0.1], "noise": true',

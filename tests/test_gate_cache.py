@@ -526,13 +526,19 @@ def test_split_gate_on_rho_copies_no_block_again():
     # products: with a warm cache a split gate on one block peaks at about
     # 2.2 d x d complex arrays, 3.4 for the flip split's folded copy (the
     # K_j checkerboard took 3.0 and 3.9), so no block is copied again on its
-    # way into the new state
+    # way into the new state.  A formed K_j adds itself, about 3.2 for RN,
+    # and a phase vector takes the split's 2.2
     d = 201
     ledger = build_ledger(d - 1)
     rng = np.random.default_rng(5)
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     state = CollectiveState(ledger, {(d - 1) / 2: a @ a.conj().T / np.trace(a @ a.conj().T).real})
-    for spec, blocks in ((GateSpec("GMS", (0.45, 0.8)), 3.0), (GateSpec("TNT", (0.3, 2.5), axes="zx"), 4.0)):
+    for spec, blocks in (
+        (GateSpec("GMS", (0.45, 0.8)), 3.0),
+        (GateSpec("TNT", (0.3, 2.5), axes="zx"), 4.0),
+        (GateSpec("RN", (0.9, 2.1)), 4.0),
+        (GateSpec("RZ", (2.1,)), 3.0),
+    ):
         for _ in range(2):
             apply_gate(state, spec)
         tracemalloc.start()

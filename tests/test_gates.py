@@ -72,6 +72,18 @@ def test_non_finite_parameters_rejected(kind):
                     GateSpec(kind, tuple(params), axes=axes)
 
 
+def test_integer_too_large_for_a_float_is_infinite():
+    # read as the infinity it rounds toward, then held to the finiteness rules
+    huge = 10**400
+    for bad in (huge, -huge):
+        with pytest.raises(DomainError, match="RX parameter 1 must be finite"):
+            GateSpec("RX", (bad,))
+        with pytest.raises(DomainError, match="RX noise must lie in"):
+            GateSpec("RX", (0.3,), noise=bad)
+    assert GateSpec("TNT", (0.3, huge), axes="zx") == GateSpec("TNT", (0.3, np.inf), axes="zx")
+    assert GateSpec("TNT", (0.3, -huge), axes="zx").params[1] == -np.inf
+
+
 def test_infinite_tnt_coupling_is_one_axis_twisting():
     state = css_state(6, np.pi / 2, 0.0)
     tnt = apply_gate(state, GateSpec("TNT", (0.3, np.inf), axes="zx"))
@@ -309,14 +321,15 @@ def test_ladder_series_equals_the_term_by_term_loop(twoj):
     # zeros included.  At 2j = 1000, |theta| = 3 the series overflows; both
     # forms then give a non-finite K and the gate refuses the state.
     from dickesim.dicke import spin_bands
+    from dickesim.gates import _propagator
 
     j = twoj / 2.0
     led = build_ledger(twoj + 2)
     lad = spin_bands(twoj)["plus"].diags[1][:-1]
     for theta in (0.05, -0.05, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0):
         with np.errstate(over="ignore", invalid="ignore"):
-            plus = exponentiate(*generator(GateSpec("R_PLUS", (theta,)), led, (j,)))[j]
-            minus = exponentiate(*generator(GateSpec("R_MINUS", (theta,)), led, (j,)))[j]
+            plus = _propagator(*generator(GateSpec("R_PLUS", (theta,)), led, (j,)), j)
+            minus = _propagator(*generator(GateSpec("R_MINUS", (theta,)), led, (j,)), j)
             want = _ladder_loop(lad, theta)
         assert minus.tobytes() == plus.T.tobytes()
         if np.isfinite(want).all():

@@ -113,6 +113,17 @@ class TestProbabilities:
         assert probabilities(state).total() == pytest.approx(1.0, abs=1e-10)
 
 
+    def test_nan_ket_or_block_raises(self):
+        # a NaN probability must fail the sign check, not pass through it:
+        # RZ2's phase argument theta * m^2 overflows at m = +-2
+        with np.errstate(over="ignore", invalid="ignore"):
+            ket = apply_gate(css_state(4, 0.3, 0.0), GateSpec("RZ2", (1e308,)))
+        block = CollectiveState(build_ledger(1), {0.5: np.array([[np.nan, 0], [0, 1]])})
+        assert ket._ket is not None and block._ket is None
+        for state in (ket, block):
+            with pytest.raises(NumericError, match="NaN probability"):
+                probabilities(state)
+
 class TestSample:
     def test_deterministic_for_fixed_seed(self):
         state = css_state(5, 0.9, 0.0)
