@@ -593,17 +593,17 @@ def _split_apply(
 
 
 def _update(gen: BlockGenerator, angle: float, j: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The map x -> K_j x along axis 0, for x of shape (d,) or (d, m), from
-    one fetch of block j's kernel: the split update ``_split_apply``, which
-    overwrites x unless x is read-only, or the product with the phase vector
-    p or the matrix K_j of ``_propagator``.  Each returns a fresh (or the
-    overwritten) C-contiguous array."""
+    """The map x -> K_j x along axis 0, for a C-contiguous complex x of shape
+    (d,) or (d, m), from one fetch of block j's kernel: the split update
+    ``_split_apply``, which overwrites x unless x is read-only, or the
+    product with the phase vector p or the matrix K_j of ``_propagator``.
+    Each returns a fresh (or the overwritten) C-contiguous array."""
     if gen.split or gen.flip:
         pair = _eigenpairs(gen, j)
-        return lambda x: _split_apply(gen, pair, angle, j, np.require(x, complex, "CW"))
+        return lambda x: _split_apply(gen, pair, angle, j, x if x.flags.writeable else x.copy())
     k = _propagator(gen, angle, j)
     if k.ndim == 1:
-        return lambda x: k.reshape(k.shape + (1,) * (x.ndim - 1)) * x
+        return lambda x: (k * x.T).T  # p x along axis 0, C-contiguous as x is
     return lambda x: k @ x
 
 
