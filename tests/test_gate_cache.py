@@ -526,8 +526,8 @@ def test_split_gate_on_rho_copies_no_block_again():
     # products: with a warm cache a split gate on one block peaks at about
     # 2.2 d x d complex arrays, 3.4 for the flip split's folded copy (the
     # K_j checkerboard took 3.0 and 3.9), so no block is copied again on its
-    # way into the new state.  A formed K_j adds itself, about 3.2 for RN,
-    # and a phase vector takes the split's 2.2
+    # way into the new state.  A formed K_j adds itself (RN: about 3.2), and
+    # a phase vector peaks as the parity split does (RZ: about 2.2)
     d = 201
     ledger = build_ledger(d - 1)
     rng = np.random.default_rng(5)

@@ -112,7 +112,6 @@ class TestProbabilities:
         state = apply_circuit(circuit, ground_state(5))
         assert probabilities(state).total() == pytest.approx(1.0, abs=1e-10)
 
-
     def test_nan_ket_or_block_raises(self):
         # a NaN probability must fail the sign check, not pass through it:
         # RZ2's phase argument theta * m^2 overflows at m = +-2
@@ -123,6 +122,7 @@ class TestProbabilities:
         for state in (ket, block):
             with pytest.raises(NumericError, match="NaN probability"):
                 probabilities(state)
+
 
 class TestSample:
     def test_deterministic_for_fixed_seed(self):
