@@ -43,20 +43,23 @@ eigh:
   compute Wigner's d matrix (PRE 92, 043307 (2015));
 * TNT(z, x) and TNT(z, y), the flip split: R_j = J_z^2 - w J_x is real,
   tridiagonal and invariant under the storage reversal m -> -m, and
-  TNT(z, y) is D R D^dag at alpha = pi/2.  The butterfly T onto
-  (e_a +- e_{d-1-a})/sqrt2 (and the middle e_h for odd d) folds R_j into
-  two real tridiagonal halves (Feng et al. use the same symmetry), stored
-  as the parity halves are;
+  TNT(z, y) is D R D^dag at alpha = pi/2.  The butterfly T, which takes
+  rows a and d-1-a to (x_a +- x_{d-1-a})/sqrt2 and keeps the middle row of
+  odd d, folds R_j into two real tridiagonal halves (Feng et al. use the
+  same symmetry), stored as the parity halves are;
 * other Hermitian G (RX, RY, RN, TNT(x|y, x|y)): eigenpairs of the dense
   complex G_j;
 * other non-Hermitian G (TAT/TNT with a plus or minus axis): scipy's Pade
   expm, imported on first use, so no other path loads SciPy.
 
-Both splits give K_j = D T^T (+)_p V_p e^{-i t w_p} V_p^T T D^dag, T the
-identity for the parity split, and ``_split_apply`` takes x to K_j x with
-two real half-size products per half, on the float view of the complex x,
-without forming K_j.  Every other G's K_j is formed by ``_propagator`` and
-applied as the product K_j x.
+Both splits give K_j = D T (+)_p V_p e^{-i t w_p} V_p^T T D^dag, T the
+identity for the parity split and the butterfly, T = T^T = T^-1, for the
+flip split.  ``_split_apply`` takes x to K_j x in place, with two real
+half-size products per half on the float view of the complex x, forming
+neither K_j nor a second copy of x: the parity halves are the even and odd
+rows, and the flip halves, after T in place (``_butterfly``), the top
+(d + 1) // 2 rows and the bottom d // 2 rows read upward.  Every other G's
+K_j is formed by ``_propagator`` and applied as the product K_j x.
 
 A non-Hermitian G gives a non-unitary K: the conjugated state is renormalized
 to unit trace (a ket to unit norm) and flagged ``conditional`` (the map is
@@ -330,7 +333,7 @@ def _parity_eigh(g: Banded, j: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _flip_eigh(r: Banded, j: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a real tridiagonal R_j that storage reversal leaves
-    unchanged, as the halves of T R_j T^T (T = ``_fold``): the middle
+    unchanged, as the halves of T R_j T (T = ``_butterfly``): the middle
     coupling beta = R[h, h - 1], h = d // 2, adds +-beta to the halves' last
     diagonal entries for even d and joins half 0 to the middle as sqrt2 beta
     for odd d."""
@@ -345,25 +348,16 @@ def _flip_eigh(r: Banded, j: float) -> tuple[np.ndarray, np.ndarray]:
     return _halves_eigh([(diag[:h] + beta, sub[: h - 1]), (diag[:h] - beta, sub[: h - 1])], j)
 
 
-def _fold(x: np.ndarray) -> np.ndarray:
-    """T x along axis 0, T orthogonal: y[0::2] on (e_a + e_{d-1-a})/sqrt2,
-    a < h = d // 2, then the middle e_h for odd d; y[1::2] on
-    (e_a - e_{d-1-a})/sqrt2."""
-    h, y = x.shape[0] // 2, np.empty_like(x)
+def _butterfly(x: np.ndarray) -> None:
+    """x -> T x along axis 0, in place: rows a and d-1-a, a < d // 2, become
+    (x_a + x_{d-1-a})/sqrt2 and (x_a - x_{d-1-a})/sqrt2, and the middle row
+    of odd d stays.  T = T^T = T^-1, so a second call undoes the first."""
+    h = x.shape[0] // 2
     top, bottom = x[:h], x[::-1][:h]
-    y[: 2 * h : 2] = (top + bottom) * np.sqrt(0.5)
-    y[1 : 2 * h : 2] = (top - bottom) * np.sqrt(0.5)
-    y[2 * h :] = x[h : x.shape[0] - h]
-    return y
-
-
-def _unfold(y: np.ndarray, x: np.ndarray) -> None:
-    """x = T^T y along axis 0, the inverse of ``_fold``, into x."""
-    h = y.shape[0] // 2
-    sym, anti = y[: 2 * h : 2], y[1 : 2 * h : 2]
-    x[:h] = (sym + anti) * np.sqrt(0.5)
-    x[::-1][:h] = (sym - anti) * np.sqrt(0.5)
-    x[h : y.shape[0] - h] = y[2 * h :]
+    total = top + bottom  # the one half-size temporary
+    np.subtract(top, bottom, out=bottom)
+    bottom *= np.sqrt(0.5)
+    np.multiply(total, np.sqrt(0.5), out=top)
 
 
 # Byte budget of the eigenpair cache.  It must hold the working set of a
@@ -570,23 +564,28 @@ def _split_apply(
 ) -> np.ndarray:
     """x = K_j x along axis 0, in place, for a ``gen.split`` or ``gen.flip``
     generator with eigenpairs ``pair`` (``_eigenpairs``), without forming K_j
-    (see the module docstring; T = ``_fold``); returns x.  x is a writable
-    C-contiguous complex array of shape (d,) or (d, m), taken on its float
-    view."""
+    (see the module docstring; T = ``_butterfly``, in place); returns x.  x
+    is a writable C-contiguous complex array of shape (d,) or (d, m), taken
+    on its float view."""
     w, v = pair
-    x2 = x.reshape(x.shape[0], -1)  # a view: x is C-contiguous
+    d = x.shape[0]
+    x2 = x.reshape(d, -1)  # a view: x is C-contiguous
     if gen.azimuth:
         gauge = _azimuth_phases(gen, j)[:, None]
         np.multiply(gauge.conj(), x2, out=x2)
-    y = _fold(x2) if gen.flip else x2
-    y2 = y.view(float)
-    for p in (0, 1):
-        vp = v[p::2, : (x.shape[0] + 1 - p) // 2]
-        c = vp.T @ y2[p::2]  # the real and imaginary parts of V_p^T y_p, interleaved
+    if gen.flip:  # half 0 on the top rows and the middle, half 1 on the bottom rows upward
+        _butterfly(x2)
+        halves = slice((d + 1) // 2), slice(d - 1, (d - 1) // 2, -1)
+    else:
+        halves = slice(0, None, 2), slice(1, None, 2)
+    f = x2.view(float)
+    for p, rows in enumerate(halves):
+        vp = v[p::2, : (d + 1 - p) // 2]
+        c = vp.T @ f[rows]  # the real and imaginary parts of V_p^T x_p, interleaved
         c.view(complex)[:] *= np.exp(-1j * angle * w[p::2])[:, None]
-        y2[p::2] = vp @ c
+        f[rows] = vp @ c
     if gen.flip:
-        _unfold(y, x2)
+        _butterfly(x2)
     if gen.azimuth:
         x2 *= gauge
     return x

@@ -524,10 +524,11 @@ def test_split_gate_on_rho_admits_on_second_use():
 def test_split_gate_on_rho_copies_no_block_again():
     # x = K rho, its conjugate transpose and the result, with each half's
     # products: with a warm cache a split gate on one block peaks at about
-    # 2.2 d x d complex arrays, 3.4 for the flip split's folded copy (the
-    # K_j checkerboard took 3.0 and 3.9), so no block is copied again on its
-    # way into the new state.  A formed K_j adds itself (RN: about 3.2), and
-    # a phase vector peaks as the parity split does (RZ: about 2.2)
+    # 2.2 d x d complex arrays, 2.4 for the flip split, whose butterfly runs
+    # in place with one half-size temporary (a folded copy of x took 3.4, the
+    # K_j checkerboard 3.0 and 3.9), so no block is copied again on its way
+    # into the new state.  A formed K_j adds itself (RN: about 3.2), and a
+    # phase vector peaks as the parity split does (RZ: about 2.2)
     d = 201
     ledger = build_ledger(d - 1)
     rng = np.random.default_rng(5)
@@ -535,7 +536,8 @@ def test_split_gate_on_rho_copies_no_block_again():
     state = CollectiveState(ledger, {(d - 1) / 2: a @ a.conj().T / np.trace(a @ a.conj().T).real})
     for spec, blocks in (
         (GateSpec("GMS", (0.45, 0.8)), 3.0),
-        (GateSpec("TNT", (0.3, 2.5), axes="zx"), 4.0),
+        (GateSpec("TNT", (0.3, 2.5), axes="zx"), 3.0),
+        (GateSpec("TNT", (0.3, 2.5), axes="zy"), 3.0),
         (GateSpec("RN", (0.9, 2.1)), 4.0),
         (GateSpec("RZ", (2.1,)), 3.0),
     ):
