@@ -187,7 +187,9 @@ class CollectiveState:
     ``conditional`` marks states that went through a non-unitary ladder gate
     (R_plus / R_minus) and were renormalized, i.e. post-selected evolution.
     The blocks are read-only, so ``_moments`` keeps the measurement layer's
-    moment pair once it has been read.
+    moment pair once it has been read.  The constructor copies each block,
+    so a caller's array is neither shared nor frozen; the engine hands over
+    the fresh blocks it made through ``_mixed``, which freezes them in place.
 
     A state made by ``_pure`` is held as a ket: ``_ket`` is (j, psi) with psi
     read-only, and its one block rho_j = psi psi^dagger is built on the first
@@ -205,16 +207,30 @@ class CollectiveState:
         blocks: Mapping[float, np.ndarray],
         conditional: bool = False,
     ):
-        by_index: dict[int, np.ndarray] = {}
+        copies = {}
         for j, mat in blocks.items():
-            idx = ledger.block_index(j)
-            mat = np.asarray(mat, dtype=complex)
-            want = ledger.blocks[idx].dim
+            mat = np.array(mat, dtype=complex, order="C")  # a copy, frozen below
+            want = ledger.blocks[ledger.block_index(j)].dim
             if mat.shape != (want, want):
                 raise DomainError(
                     f"block j = {j} must be {want}x{want}, got {mat.shape}"
                 )
-            by_index[idx] = _freeze(mat)
+            copies[j] = mat
+        self._hold(ledger, copies, conditional)
+
+    @classmethod
+    def _mixed(
+        cls, ledger: BlockLedger, blocks: dict[float, np.ndarray], conditional: bool = False
+    ) -> "CollectiveState":
+        """The state with ``blocks``, complex C-contiguous arrays of the
+        ledger's shapes, frozen in place and not copied, so the caller hands
+        over arrays it no longer writes, as with ``_pure``."""
+        state = cls.__new__(cls)
+        state._hold(ledger, blocks, conditional)
+        return state
+
+    def _hold(self, ledger: BlockLedger, blocks: dict, conditional: bool) -> None:
+        by_index = {ledger.block_index(j): _freeze(mat) for j, mat in blocks.items()}
         self.ledger = ledger
         self._blocks = {idx: by_index[idx] for idx in sorted(by_index)}
         self._ket = None

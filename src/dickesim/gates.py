@@ -531,9 +531,14 @@ def _eigenpairs(gen: BlockGenerator, j: float) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-def _azimuth_phases(gen: BlockGenerator, j: float) -> np.ndarray:
-    """p = e^{-i alpha m} of the gauge D = diag(p), for m = j, j - 1, ..., -j."""
-    return np.exp(-1j * gen.azimuth * (j - np.arange(_twoj(j) + 1)))
+def _phases(angle: float, w: np.ndarray, j: float) -> np.ndarray:
+    """e^{-i angle w}, the phases of every kernel form.  An argument that
+    overflows raises NumericError; ``apply_gate`` and ``exponentiate``
+    ignore NumPy's overflow and invalid flags, so no warning precedes it."""
+    arg = -1j * angle * w
+    if not np.isfinite(arg).all():
+        raise NumericError(f"phase argument is not finite in block j = {j}")
+    return np.exp(arg)
 
 
 def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
@@ -542,7 +547,7 @@ def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
     of K_j = diag(p), or the matrix K_j, in the form G's band offsets
     select (see the module docstring)."""
     if gen.offsets == {0}:
-        return np.exp(-1j * angle * gen.bands(j).diags[0])
+        return _phases(angle, gen.bands(j).diags[0], j)
     if gen.offsets == {1}:
         return _ladder_exponential(gen.bands(j).diags[1][:-1], angle)
     if gen.offsets == {-1}:
@@ -554,7 +559,7 @@ def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
     w, v = _eigenpairs(gen, j)
     # (V e^{-i t w}) V^dag as conj(conj(V e^{-i t w}) V^T), conjugated in
     # place: the same bits, with two (2j+1)^2 temporaries fewer
-    k = v * np.exp(-1j * angle * w)
+    k = v * _phases(angle, w, j)
     k = np.conjugate(k, out=k) @ v.T
     return np.conjugate(k, out=k)
 
@@ -571,7 +576,7 @@ def _split_apply(
     d = x.shape[0]
     x2 = x.reshape(d, -1)  # a view: x is C-contiguous
     if gen.azimuth:
-        gauge = _azimuth_phases(gen, j)[:, None]
+        gauge = _phases(gen.azimuth, j - np.arange(d), j)[:, None]  # D = diag(e^{-i alpha m})
         np.multiply(gauge.conj(), x2, out=x2)
     if gen.flip:  # half 0 on the top rows and the middle, half 1 on the bottom rows upward
         _butterfly(x2)
@@ -582,7 +587,7 @@ def _split_apply(
     for p, rows in enumerate(halves):
         vp = v[p::2, : (d + 1 - p) // 2]
         c = vp.T @ f[rows]  # the real and imaginary parts of V_p^T x_p, interleaved
-        c.view(complex)[:] *= np.exp(-1j * angle * w[p::2])[:, None]
+        c.view(complex)[:] *= _phases(angle, w[p::2], j)[:, None]
         f[rows] = vp @ c
     if gen.flip:
         _butterfly(x2)
@@ -630,6 +635,7 @@ def _extreme_rotation(spec: GateSpec, angle: float, psi: np.ndarray) -> np.ndarr
     return psi[nonzero[0]] * _spinor_power(psi.size - 1, a, b)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing phase raises instead
 def exponentiate(operator: BlockGenerator, angle: float) -> dict[float, np.ndarray]:
     """Per-block matrices exp(-i * angle * G_j) on the generator's blocks:
     the per-block update ``apply_gate`` uses (``_update``), applied to the
@@ -643,6 +649,7 @@ def _normalization(total: float, kind: str) -> float:
     return total
 
 
+@np.errstate(over="ignore", invalid="ignore")  # once per call, not per block
 def apply_gate(state: CollectiveState, spec: GateSpec) -> CollectiveState:
     """rho -> K rho K^dag per active block, or psi -> K psi for a state held
     as a ket, then the optional noise channel.
@@ -676,7 +683,7 @@ def apply_gate(state: CollectiveState, spec: GateSpec) -> CollectiveState:
         if not gen.hermitian:
             total = _normalization(sum(np.trace(b).real for b in blocks.values()), spec.kind)
             blocks = {j: b / total for j, b in blocks.items()}
-        out = CollectiveState(state.ledger, blocks, conditional)
+        out = CollectiveState._mixed(state.ledger, blocks, conditional)
     if spec.noise is not None and spec.noise > 0.0:
         from .noise import depolarize
 

@@ -144,4 +144,4 @@ def depolarize(state: CollectiveState, epsilon: float) -> CollectiveState:
     blocks = _add_rho_prime(state, {j: (1.0 - eps) * rho for j, rho in state.items()}, eps / total)
     # blocks that stayed exactly zero remain unstored
     blocks = {j: b for j, b in blocks.items() if np.any(b)}
-    return CollectiveState(state.ledger, blocks, state.conditional)
+    return CollectiveState._mixed(state.ledger, blocks, state.conditional)

@@ -143,17 +143,33 @@ class TestRun:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
-    def test_nan_probability_exit_4_writes_nothing(self, tmp_path, capsys):
-        # RZ2's phase argument theta * m^2 overflows: NaN probabilities at m = +-2
-        path = tmp_path / "nan.json"
+    def test_overflowing_phase_exit_4_writes_nothing(self, tmp_path):
+        # RZ2's phase argument theta * m^2 overflows at m = +-2: the gate
+        # fails with one error line, and no NumPy warning reaches stderr
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import dickesim
+
+        path = tmp_path / "overflow.json"
         path.write_text(json.dumps({"n": 4, "gates": [
             {"kind": "RX", "params": [0.3]}, {"kind": "RZ2", "params": [1e308]},
         ]}))
         out = tmp_path / "p.csv"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["run", str(path), "--shots", "10", "--out", str(out)]) == 4
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and "NaN probability" in captured.err
+        src = str(Path(dickesim.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "dickesim.cli", "run", str(path), "--shots", "10",
+             "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 4, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert not out.exists() and not (tmp_path / "p.csv.counts.csv").exists()
 
     @pytest.mark.parametrize("gate", [

@@ -181,6 +181,16 @@ def test_state_block_shape_validation():
         CollectiveState(led, {2.0: np.eye(3, dtype=complex)})
 
 
+def test_state_copies_the_callers_block():
+    # the state keeps a frozen copy; the caller's array stays its own
+    a = np.eye(2, dtype=complex) / 2
+    state = CollectiveState(build_ledger(1), {0.5: a})
+    assert state.block(0.5) is not a and a.flags.writeable
+    a[0, 0] = 1.0
+    assert state.block(0.5)[0, 0] == 0.5 and state.trace() == 1.0
+    assert not state.block(0.5).flags.writeable
+
+
 def test_css_limits():
     # theta = 0 puts all weight on m = +N/2, theta = pi on m = -N/2
     top = css_state(6, 0.0, 0.3)

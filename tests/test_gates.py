@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -342,6 +343,22 @@ def test_ladder_series_equals_the_term_by_term_loop(twoj):
         state = CollectiveState(led, {j: rho})
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
             apply_gate(state, GateSpec("R_PLUS", (theta,)))
+
+
+@pytest.mark.parametrize("gates", [
+    # a phase vector, the azimuth gauge on rho, a parity-split half, a formed K_j on rho
+    [GateSpec("RX", (0.3,)), GateSpec("RZ2", (1e308,))],
+    [GateSpec("RX", (0.3,), noise=0.1), GateSpec("GMS", (0.3, 1e308))],
+    [GateSpec("RX", (0.3,)), GateSpec("TAT", (1e308,), axes="xy")],
+    [GateSpec("RX", (0.3,), noise=0.1), GateSpec("RN", (1e308, 0.3))],
+], ids=["RZ2", "GMS", "TAT", "RN"])
+def test_overflowing_phase_raises_at_its_gate(gates):
+    # a finite angle or azimuth whose phase argument overflows fails at the
+    # gate, with no NumPy warning, rather than leaving NaN amplitudes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="phase argument"):
+            apply_circuit(Circuit(4, gates), ground_state(4))
 
 
 DIAGONAL_SPECS = (

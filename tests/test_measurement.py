@@ -113,10 +113,11 @@ class TestProbabilities:
         assert probabilities(state).total() == pytest.approx(1.0, abs=1e-10)
 
     def test_nan_ket_or_block_raises(self):
-        # a NaN probability must fail the sign check, not pass through it:
-        # RZ2's phase argument theta * m^2 overflows at m = +-2
-        with np.errstate(over="ignore", invalid="ignore"):
-            ket = apply_gate(css_state(4, 0.3, 0.0), GateSpec("RZ2", (1e308,)))
+        # a NaN probability must fail the sign check, not pass through it;
+        # no gate makes this ket, since an overflowing phase fails at its gate
+        psi = css_state(4, 0.3, 0.0)._ket[1].copy()
+        psi[[0, -1]] = np.nan
+        ket = CollectiveState._pure(build_ledger(4), 2.0, psi)
         block = CollectiveState(build_ledger(1), {0.5: np.array([[np.nan, 0], [0, 1]])})
         assert ket._ket is not None and block._ket is None
         for state in (ket, block):
