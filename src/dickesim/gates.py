@@ -536,9 +536,11 @@ def _phases(angle: float, w: np.ndarray, j: float) -> np.ndarray:
     """e^{-i angle w}, the phases of every kernel form.  Rounding is
     monotone, so |angle| max|w| bounds every |angle w_k|: when the bound
     overflows, NumericError is raised before any phase is formed, and NumPy
-    has nothing to warn about."""
-    if not math.isfinite(abs(angle) * float(np.abs(w).max(initial=0.0))):
-        raise NumericError(f"phase argument overflows in block j = {j}")
+    has nothing to warn about.  The bound is read only when angle^2 |w|^2,
+    one dot product and never below its square, overflows."""
+    if not math.isfinite(angle * angle * float(np.vdot(w, w).real)):
+        if not math.isfinite(abs(angle) * float(np.abs(w).max())):
+            raise NumericError(f"phase argument overflows in block j = {j}")
     return np.exp(-1j * angle * w)
 
 
@@ -584,11 +586,11 @@ def _split_apply(
         halves = slice((d + 1) // 2), slice(d - 1, (d - 1) // 2, -1)
     else:
         halves = slice(0, None, 2), slice(1, None, 2)
-    f = x2.view(float)
+    f, phases = x2.view(float), _phases(angle, w, j)[:, None]
     for p, rows in enumerate(halves):
         vp = v[p::2, : (d + 1 - p) // 2]
         c = vp.T @ f[rows]  # the real and imaginary parts of V_p^T x_p, interleaved
-        c.view(complex)[:] *= _phases(angle, w[p::2], j)[:, None]
+        c.view(complex)[:] *= phases[p::2]
         f[rows] = vp @ c
     if gen.flip:
         _butterfly(x2)

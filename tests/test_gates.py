@@ -361,6 +361,20 @@ def test_overflowing_phase_raises_at_its_gate(gates):
             apply_circuit(Circuit(4, gates), ground_state(4))
 
 
+def test_phase_argument_below_overflow_is_formed():
+    # N/Lambda = 4e300: angle^2 |w|^2 overflows, yet every angle * w_k is
+    # finite, so the phases are formed, as the bare expression gives them
+    from dickesim.gates import _propagator
+
+    gen, angle = generator(GateSpec("TNT", (1e-10, 1e-300), axes="zz"), build_ledger(4))
+    w = gen.bands(2.0).diags[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phases = _propagator(gen, angle, 2.0)
+        assert np.isinf(angle * angle * np.vdot(w, w))
+    assert np.array_equal(phases, np.exp(-1j * angle * w))
+
+
 DIAGONAL_SPECS = (
     GateSpec("RZ", (0.7,)),
     GateSpec("RZ", (-2.3,)),
