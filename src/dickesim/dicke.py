@@ -216,7 +216,7 @@ class CollectiveState:
                     f"block j = {j} must be {want}x{want}, got {mat.shape}"
                 )
             copies[j] = mat
-        self._hold(ledger, copies, conditional)
+        self._set_blocks(ledger, copies, conditional)
 
     @classmethod
     def _mixed(
@@ -226,10 +226,10 @@ class CollectiveState:
         ledger's shapes, frozen in place and not copied, so the caller hands
         over arrays it no longer writes, as with ``_pure``."""
         state = cls.__new__(cls)
-        state._hold(ledger, blocks, conditional)
+        state._set_blocks(ledger, blocks, conditional)
         return state
 
-    def _hold(self, ledger: BlockLedger, blocks: dict, conditional: bool) -> None:
+    def _set_blocks(self, ledger: BlockLedger, blocks: dict, conditional: bool) -> None:
         by_index = {ledger.block_index(j): _freeze(mat) for j, mat in blocks.items()}
         self.ledger = ledger
         self._blocks = {idx: by_index[idx] for idx in sorted(by_index)}

@@ -536,8 +536,9 @@ def _phases(angle: float, w: np.ndarray, j: float) -> np.ndarray:
     """e^{-i angle w}, the phases of every kernel form.  Rounding is
     monotone, so |angle| max|w| bounds every |angle w_k|: when the bound
     overflows, NumericError is raised before any phase is formed, and NumPy
-    has nothing to warn about.  The bound is read only when angle^2 |w|^2,
-    one dot product and never below its square, overflows."""
+    has nothing to warn about.  The cheap test comes first: angle^2 |w|^2,
+    one dot product, is at least the bound's square, so max|w| is read only
+    when it overflows."""
     if not math.isfinite(angle * angle * float(np.vdot(w, w).real)):
         if not math.isfinite(abs(angle) * float(np.abs(w).max())):
             raise NumericError(f"phase argument overflows in block j = {j}")
