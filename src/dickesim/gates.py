@@ -22,10 +22,13 @@ catalog G has band offsets in -2..2, fixed by the kind and axes.  Only the
 blocks a state occupies are touched, each by one per-block update
 x -> K_j x along axis 0 (``_update``): a ket takes it once, rho twice, as
 (K (K rho)^dag)^dag, and ``exponentiate``'s K_j is its image of the
-identity.  The update fetches the block's kernel once, in the form the
-offsets pick; a Hermitian G_j's eigenpairs take one of three eigen-forms
-(``_eigenpairs``): the parity split, the flip split, or the dense complex
-eigh:
+identity.  ``_recipe`` states each G's kernel facts, and only they are
+read after it: whether G is Hermitian, and its azimuth alpha when
+G = D R D^dag with D = exp(-i alpha J_z) and R real; the band offsets are
+read off G itself.  The update fetches the block's kernel once, in the form
+these facts pick, never by the gate kind; a Hermitian G_j's eigenpairs take
+one of three eigen-forms (``_eigenpairs``): the parity split, the flip
+split, or the dense complex eigh:
 
 * {0} (RZ, RZ2, OAT/TAT/TNT with all-z axes): the phase vector p of
   K_j = diag(p), applied as the product p x;
@@ -34,19 +37,19 @@ eigh:
   series of its transpose, transposed back;
 * Hermitian G with offsets {-2, 0, 2}, the parity split: a real R_j that
   never couples storage indices of different parity, so its even and odd
-  indices are two real tridiagonal halves with a real eigh each.  TAT over
-  two of x, y, z and TNT(x|y, z) take R_j = G_j.  The quadratic rotations
-  GMS(t, phi), RX2, RY2 and OAT with axis x or y are G = D J_x^2 D^dag with
-  D = exp(-i alpha J_z) = diag(p), p = e^{-i alpha m}, and
-  alpha = phi, 0, pi/2, 0, pi/2, so R_j = J_x^2, whose spectrum is exactly
+  indices are two real tridiagonal halves with a real eigh each.  With no
+  azimuth (TAT over two of x, y, z, TNT(x|y, z)), R_j = G_j.  With one, G
+  is a quadratic rotation, G = D J_x^2 D^dag with D = diag(p),
+  p = e^{-i alpha m}: GMS(t, phi), RX2, RY2 and OAT with axis x or y, at
+  alpha = phi, 0, pi/2, 0, pi/2.  So R_j = J_x^2, whose spectrum is exactly
   the m^2, serves them all, at every angle and azimuth, as Feng et al.
   compute Wigner's d matrix (PRE 92, 043307 (2015));
-* TNT(z, x) and TNT(z, y), the flip split: R_j = J_z^2 - w J_x is real,
-  tridiagonal and invariant under the storage reversal m -> -m, and
-  TNT(z, y) is D R D^dag at alpha = pi/2.  The butterfly T, which takes
-  rows a and d-1-a to (x_a +- x_{d-1-a})/sqrt2 and keeps the middle row of
-  odd d, folds R_j into two real tridiagonal halves (Feng et al. use the
-  same symmetry), stored as the parity halves are;
+* Hermitian G with an azimuth and offsets {-1, 0, 1}, the flip split
+  (TNT(z, x) at alpha = 0 and TNT(z, y) at pi/2): R_j = J_z^2 - w J_x is
+  real, tridiagonal and invariant under the storage reversal m -> -m.  The
+  butterfly T, which takes rows a and d-1-a to (x_a +- x_{d-1-a})/sqrt2 and
+  keeps the middle row of odd d, folds R_j into two real tridiagonal halves
+  (Feng et al. use the same symmetry), stored as the parity halves are;
 * other Hermitian G (RX, RY, RN, TNT(x|y, x|y)): eigenpairs of the dense
   complex G_j;
 * other non-Hermitian G (TAT/TNT with a plus or minus axis): scipy's Pade
@@ -67,26 +70,29 @@ not trace preserving).  A state held as a ket (see ``dicke``) forms no K_j,
 and no (2j+1)^2 array, in two cases:
 
 * an extreme ket, whose one nonzero entry psi_e sits at m = j or m = -j,
-  under RX, RY or RN(t, phi): it is every spin up (down), so the rotation
-  turns each spin-1/2 by U = cos(t/2) - i sin(t/2) n.sigma, n the gate's
-  axis, and psi' = psi_e (a|up> + b|down>)^(x)2j with (a, b) = U|up>
-  (U|down>), the spin coherent state of ``dicke._spinor_power`` (Arecchi et
-  al., PRA 6, 2211 (1972)), at O(2j) cost.  The rule reads psi only, and
-  its result carries no coherent-state tag: a later rotation of it forms
-  K_j as any other ket does, so only the first rotation of a fresh state
-  takes the rule.  A tag would carry the O(2j) form through whole
+  under a Hermitian G with offsets exactly {-1, 1}, a rotation
+  n_x J_x + n_y J_y (RX, RY, RN): the ket is every spin up (down), so the
+  rotation turns each spin-1/2 by U = cos(t/2) - i sin(t/2) n.sigma, with
+  n_x + i n_y = 2 G[1, 0] of the spin-1/2 block, and
+  psi' = psi_e (a|up> + b|down>)^(x)2j with (a, b) = U|up> (U|down>), the
+  spin coherent state of ``dicke._spinor_power`` (Arecchi et al., PRA 6,
+  2211 (1972)), at O(2j) cost.  The rule reads the generator and psi only,
+  and its result carries no coherent-state tag: a later rotation of it
+  forms K_j as any other ket does, so only the first rotation of a fresh
+  state takes the rule.  A tag would carry the O(2j) form through whole
   RX/RY/RZ layers and change the cost scaling that acceptance criterion 9
   times, which is left to its own decision (ROADMAP, D2);
 * a parity- or flip-split G, by ``_split_apply``.
 
 ``_eigenpairs`` keeps the eigenpairs of all three forms in one byte-bounded
-LRU cache shared by every call; both halves of a split R_j are one real entry.
-J_x^2's halves are keyed by 2j alone.  Any other G_j depends on 2j and on every gate
+LRU cache shared by every call; both halves of a split R_j are one real
+entry.  J_x^2's halves, which every parity-split G with an azimuth uses,
+are keyed by 2j alone.  Any other G_j depends on 2j and on every gate
 parameter except the angle (and, for TNT, on N/Lambda), and so does its
-key; RN's azimuth is part of it.  A key is stored on its second request
-only, so gates whose azimuth is drawn afresh each time never fill it.  A hit
-skips the generator build and the eigh, and gives K_j, or a split update,
-bit for bit as a miss does.
+key; RN's azimuth, which is no gauge but changes G itself, is part of it.
+A key is stored on its second request only, so gates whose azimuth is drawn
+afresh each time never fill it.  A hit skips the generator build and the
+eigh, and gives K_j, or a split update, bit for bit as a miss does.
 """
 
 from __future__ import annotations
@@ -226,44 +232,47 @@ def _sq(op):
     return op @ op
 
 
-def _recipe(spec: GateSpec, n_particles: int) -> tuple[Callable, float, bool]:
-    """(builder over an axis->operator map, gate angle, generator Hermitian?).
+# the azimuth alpha of J_a = D J_x D^dag, D = exp(-i alpha J_z)
+_AZIMUTHS = {"x": 0.0, "y": np.pi / 2.0}
+
+
+def _recipe(spec: GateSpec, n_particles: int) -> tuple[Callable, float, bool, float | None]:
+    """(builder over an axis->operator map, gate angle, generator Hermitian?,
+    azimuth alpha or None).
 
     Shared by the collective engine and the full-space oracle: the builder only
     uses +, -, scalar * and @, so it composes block operators and dense
-    matrices alike.
+    matrices alike.  alpha is given when G = D R D^dag, D = exp(-i alpha J_z),
+    for a real R built from J_x and J_z: R = J_x^2 (RX2, RY2, OAT x|y, GMS)
+    or R = J_z^2 - w J_x (TNT(z, x|y)), since D J_x D^dag = J_x cos alpha +
+    J_y sin alpha.
     """
     kind, params, axes = spec.kind, spec.params, spec.axes
     if kind in ("RX", "RY", "RZ"):
         ax = kind[1].lower()
-        return (lambda o: o[ax]), params[0], True
+        return (lambda o: o[ax]), params[0], True, None
     if kind == "RN":
         theta, phi = params
         c, s = np.cos(phi), np.sin(phi)
-        return (lambda o: o["y"] * c - o["x"] * s), theta, True
+        return (lambda o: o["y"] * c - o["x"] * s), theta, True, None
     if kind in ("R_PLUS", "R_MINUS"):
         ax = "plus" if kind == "R_PLUS" else "minus"
-        return (lambda o: o[ax]), params[0], False
-    if kind in ("RX2", "RY2", "RZ2"):
-        ax = kind[1].lower()
-        return (lambda o: _sq(o[ax])), params[0], True
-    if kind == "OAT":
-        ax = axes[0]
-        return (lambda o: _sq(o[ax])), params[0], True
-    if kind == "TAT":
+        return (lambda o: o[ax]), params[0], False, None
+    if kind in ("RX2", "RY2", "RZ2", "OAT"):
+        ax = axes[0] if kind == "OAT" else kind[1].lower()
+        return (lambda o: _sq(o[ax])), params[0], True, _AZIMUTHS.get(ax)
+    if kind in ("TAT", "TNT"):
         a, b = axes
         herm = a in _SINGLE_AXES and b in _SINGLE_AXES
-        return (lambda o: _sq(o[a]) - _sq(o[b])), params[0], herm
-    if kind == "TNT":
-        theta, coupling = params
-        a, b = axes
-        herm = a in _SINGLE_AXES and b in _SINGLE_AXES
-        w = n_particles / coupling
-        return (lambda o: _sq(o[a]) - w * o[b]), theta, herm
+        if kind == "TAT":
+            return (lambda o: _sq(o[a]) - _sq(o[b])), params[0], herm, None
+        w = n_particles / params[1]
+        azimuth = _AZIMUTHS.get(b) if a == "z" else None
+        return (lambda o: _sq(o[a]) - w * o[b]), params[0], herm, azimuth
     if kind == "GMS":
         theta, phi = params
         c, s = np.cos(phi), np.sin(phi)
-        return (lambda o: _sq(o["x"] * c + o["y"] * s)), theta, True
+        return (lambda o: _sq(o["x"] * c + o["y"] * s)), theta, True, phi
     raise DomainError(f"unknown gate kind {kind!r}")
 
 
@@ -427,27 +436,13 @@ class _EigenpairCache:
 _EIGENPAIRS = _EigenpairCache(EIGENPAIR_CACHE_BYTES, _SEEN_ONCE_KEYS)
 
 
-def _quadratic_azimuth(spec: GateSpec) -> float | None:
-    """alpha with G = D J_x^2 D^dag, D = exp(-i alpha J_z), for the kinds of
-    that form (GMS: phi; RX2, OAT x: 0; RY2, OAT y: pi/2), else None."""
-    if spec.kind == "GMS":
-        return spec.params[1]
-    axis = {"RX2": "x", "RY2": "y", "OAT": spec.axes and spec.axes[0]}.get(spec.kind)
-    return {"x": 0.0, "y": np.pi / 2.0}.get(axis)
-
-
-def _flip_azimuth(spec: GateSpec) -> float | None:
-    """alpha with G = D (J_z^2 - w J_x) D^dag, D = exp(-i alpha J_z), for
-    TNT(z, x) (0) and TNT(z, y) (pi/2), else None."""
-    return {("z", "x"): 0.0, ("z", "y"): np.pi / 2.0}.get(spec.axes) if spec.kind == "TNT" else None
-
-
-def _gate_key(spec: GateSpec, n_particles: int) -> tuple:
+def _gate_key(spec: GateSpec, n_particles: int, quadratic: bool) -> tuple:
     """Everything a block generator's eigenpairs depend on besides 2j.  The
-    quadratic rotation kinds all use the eigenpairs of J_x^2: the empty key.
-    Other kinds: the kind, the axes, every parameter but the angle (bit
-    patterns, so -0.0 != 0.0) and, for TNT, the N/Lambda its recipe uses."""
-    if _quadratic_azimuth(spec) is not None:
+    quadratic rotations (``quadratic``: a parity-split G with an azimuth, so
+    R = J_x^2) all use the eigenpairs of J_x^2: the empty key.  Other kinds:
+    the kind, the axes, every parameter but the angle (bit patterns, so
+    -0.0 != 0.0) and, for TNT, the N/Lambda its recipe uses."""
+    if quadratic:
         return ()
     params = spec.params[1:]
     if spec.kind == "TNT":
@@ -467,16 +462,15 @@ class BlockGenerator:
     """A generator G kept as its recipe: ``bands(j)`` builds G_j as bands.
     ``offsets`` are G's band offsets, the same on every block; ``key`` is
     everything G_j's eigenpairs depend on besides 2j (see ``_gate_key``);
-    ``azimuth`` is alpha if G = D_alpha R D_alpha^dag with R = J_x^2 (see
-    ``_quadratic_azimuth``) or, for ``flip``, R = J_z^2 - w J_x (see
-    ``_flip_azimuth``); ``js`` are the blocks it was made for."""
+    ``azimuth`` is alpha if G = D_alpha R D_alpha^dag for a real R (see
+    ``_recipe``); ``js`` are the blocks it was made for.  These facts alone
+    pick the kernel form of every block (see the module docstring)."""
 
     build: Callable
     hermitian: bool
     offsets: frozenset[int]
     key: tuple
     azimuth: float | None
-    flip: bool
     js: tuple[float, ...]
 
     def bands(self, j: float) -> Banded:
@@ -488,22 +482,26 @@ class BlockGenerator:
         halves are uncoupled (see ``_parity_eigh``)."""
         return self.hermitian and self.offsets != {0} and self.offsets <= _PARITY_OFFSETS
 
+    @property
+    def flip(self) -> bool:
+        """An azimuth and offsets +-1, so R = J_z^2 - w J_x: its halves
+        under the storage reversal are uncoupled (see ``_flip_eigh``)."""
+        return self.azimuth is not None and 1 in self.offsets
+
 
 def generator(
     spec: GateSpec, ledger: BlockLedger, js: tuple[float, ...] | None = None
 ) -> tuple[BlockGenerator, float]:
     """Generator G and angle t with gate K = exp(-i t G), for blocks ``js``
     only (every ledger block if None).  No block is built here."""
-    build, angle, herm = _recipe(spec, ledger.n_particles)
+    build, angle, herm, azimuth = _recipe(spec, ledger.n_particles)
     if js is None:
         js = ledger.js
     for j in js:
         ledger.block_index(j)
     offsets = _band_offsets(spec.kind, spec.axes)
-    key = _gate_key(spec, ledger.n_particles)
-    flip = _flip_azimuth(spec)
-    azimuth = _quadratic_azimuth(spec) if flip is None else flip
-    return BlockGenerator(build, herm, offsets, key, azimuth, flip is not None, tuple(js)), angle
+    key = _gate_key(spec, ledger.n_particles, azimuth is not None and 1 not in offsets)
+    return BlockGenerator(build, herm, offsets, key, azimuth, tuple(js)), angle
 
 
 def _eigenpairs(gen: BlockGenerator, j: float) -> tuple[np.ndarray, np.ndarray]:
@@ -615,22 +613,19 @@ def _update(gen: BlockGenerator, angle: float, j: float) -> Callable[[np.ndarray
     return lambda x: k @ x
 
 
-def _extreme_rotation(spec: GateSpec, angle: float, psi: np.ndarray) -> np.ndarray | None:
-    """K psi in closed form for RX, RY or RN(t, phi) on a ket whose one
+def _extreme_rotation(gen: BlockGenerator, angle: float, psi: np.ndarray) -> np.ndarray | None:
+    """K psi in closed form for a Hermitian G with offsets exactly {-1, 1},
+    a rotation G = n_x J_x + n_y J_y (RX, RY, RN), on a ket whose one
     nonzero entry psi_e sits at m = j or m = -j, else None.  Rotating the
     extreme state rotates each spin-1/2: psi' = psi_e (a|up> + b|down>)^(x)2j,
-    with (a, b) = U|up> or U|down>, U = cos(t/2) - i sin(t/2) n.sigma about
-    the gate's axis n = (n_x, n_y, 0): x, y, or (-sin phi, cos phi, 0)."""
-    if spec.kind not in ("RX", "RY", "RN"):
+    with (a, b) = U|up> or U|down>, U = cos(t/2) - i sin(t/2) n.sigma, and
+    n_x + i n_y = 2 G[1, 0] of the spin-1/2 block."""
+    if not gen.hermitian or gen.offsets != {-1, 1}:
         return None
     nonzero = np.flatnonzero(psi)
     if nonzero.size != 1 or nonzero[0] not in (0, psi.size - 1):
         return None
-    if spec.kind == "RN":
-        phi = spec.params[1]
-        n_xy = complex(-np.sin(phi), np.cos(phi))
-    else:
-        n_xy = 1.0 + 0j if spec.kind == "RX" else 1j
+    n_xy = 2.0 * complex(gen.build(spin_bands(1)).diags[-1][1])
     c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
     if nonzero[0] == 0:  # U|up> = c|up> - i s (n_x + i n_y)|down>
         a, b = (c, 1.0), (s, -1j * n_xy)
@@ -669,7 +664,7 @@ def apply_gate(state: CollectiveState, spec: GateSpec) -> CollectiveState:
     conditional = state.conditional or not gen.hermitian
     if state._ket is not None:
         j, psi = state._ket
-        rotated = _extreme_rotation(spec, angle, psi)
+        rotated = _extreme_rotation(gen, angle, psi)
         psi = _update(gen, angle, j)(psi) if rotated is None else rotated
         if not gen.hermitian:
             psi /= _normalization(np.linalg.norm(psi), spec.kind)

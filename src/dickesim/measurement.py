@@ -119,7 +119,7 @@ OBSERVABLES = {
     "J_minus2": ("minus", "minus"),
 }
 
-_HERMITIAN_OBS = {"Jx", "Jy", "Jz", "Jx2", "Jy2", "Jz2"}
+_HERMITIAN_OBS = {name for name, axes in OBSERVABLES.items() if set(axes) <= {"x", "y", "z"}}
 
 # J_u = u . (J_x, J_y, J_z) for each axis name
 _AXIS_VECTORS = {

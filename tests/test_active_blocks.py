@@ -62,7 +62,7 @@ def dense_exponential(g, angle, hermitian):
 def reference_apply_gate(state, spec):
     """K rho K^dag with K from each block's dense generator, then
     renormalization and noise exactly as the catalog defines them."""
-    build, angle, herm = _recipe(spec, state.n_particles)
+    build, angle, herm, _ = _recipe(spec, state.n_particles)
     blocks = {}
     for j, rho in state.items():
         k = dense_exponential(build(block_ops(state.ledger, j)), angle, herm)

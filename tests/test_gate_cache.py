@@ -145,8 +145,8 @@ def test_two_azimuths_do_not_share_an_entry():
 
 
 def test_signed_zero_azimuths_are_distinct_keys():
-    assert gates._gate_key(GateSpec("RN", (0.8, 0.0)), 6) != gates._gate_key(
-        GateSpec("RN", (0.8, -0.0)), 6
+    assert gates._gate_key(GateSpec("RN", (0.8, 0.0)), 6, False) != gates._gate_key(
+        GateSpec("RN", (0.8, -0.0)), 6, False
     )
 
 
@@ -430,7 +430,7 @@ def test_parity_split_keeps_one_real_entry_per_block(spec, monkeypatch):
     cold = apply_gate(state, spec)
     apply_gate(state, spec)
     assert sorted(CACHE._entries) == sorted(
-        (int(2 * j),) + gates._gate_key(spec, 7) for j in state.active_js
+        (int(2 * j),) + gates._gate_key(spec, 7, False) for j in state.active_js
     )
     for (twoj, *_), (w, v) in CACHE._entries.items():
         assert w.dtype == v.dtype == np.float64
@@ -517,7 +517,7 @@ def test_split_gate_on_rho_admits_on_second_use():
         assert len(CACHE) == 0
         apply_gate(state, spec)
         assert sorted(CACHE._entries) == sorted(
-            (int(2 * j),) + gates._gate_key(spec, 7) for j in state.active_js
+            (int(2 * j),) + gates._gate_key(spec, 7, spec.kind == "GMS") for j in state.active_js
         )
 
 
@@ -575,7 +575,7 @@ def test_flip_split_keeps_one_real_entry_per_block(spec, monkeypatch):
     # real half-size eighs only: the largest block has d = 8
     assert sizes and max(sizes) == 4
     assert sorted(CACHE._entries) == sorted(
-        (int(2 * j),) + gates._gate_key(spec, 7) for j in state.active_js
+        (int(2 * j),) + gates._gate_key(spec, 7, False) for j in state.active_js
     )
     for (twoj, *_), (w, v) in CACHE._entries.items():
         assert w.dtype == v.dtype == np.float64

@@ -414,6 +414,52 @@ def every_spec():
             yield GateSpec(kind, params, axes=axes or None)
 
 
+# every_spec's generators (GMS at phi = 2.5, TNT at Lambda = 2.5) by their
+# kernel facts: band offsets, hermitian, azimuth, split, flip and whether the
+# eigenpair key is the empty one of J_x^2's halves
+KERNEL_FACTS = (
+    ("RX RY RN", {-1, 1}, True, None, False, False, False),
+    ("RZ RZ2 OATz TATzz TNTzz", {0}, True, None, False, False, False),
+    ("R_PLUS", {1}, False, None, False, False, False),
+    ("R_MINUS", {-1}, False, None, False, False, False),
+    ("RX2 OATx", {-2, 0, 2}, True, 0.0, True, False, True),
+    ("RY2 OATy", {-2, 0, 2}, True, np.pi / 2, True, False, True),
+    ("GMS", {-2, 0, 2}, True, 2.5, True, False, True),
+    ("TATxx TATxy TATxz TATyx TATyy TATyz TATzx TATzy TNTxz TNTyz",
+     {-2, 0, 2}, True, None, True, False, False),
+    ("TNTzx", {-1, 0, 1}, True, 0.0, False, True, False),
+    ("TNTzy", {-1, 0, 1}, True, np.pi / 2, False, True, False),
+    ("TNTxx TNTxy TNTyx TNTyy", {-2, -1, 0, 1, 2}, True, None, False, False, False),
+    ("TATxplus TATxminus TATyplus TATyminus TATplusx TATplusy TATminusx TATminusy",
+     {-2, 0, 2}, False, None, False, False, False),
+    ("TATzplus TATplusz TNTplusz", {0, 2}, False, None, False, False, False),
+    ("TATzminus TATminusz TNTminusz", {-2, 0}, False, None, False, False, False),
+    ("TATplusplus", {2}, False, None, False, False, False),
+    ("TATplusminus TATminusplus", {-2, 2}, False, None, False, False, False),
+    ("TATminusminus", {-2}, False, None, False, False, False),
+    ("TNTxplus TNTyplus", {-2, 0, 1, 2}, False, None, False, False, False),
+    ("TNTxminus TNTyminus", {-2, -1, 0, 2}, False, None, False, False, False),
+    ("TNTzplus", {0, 1}, False, None, False, False, False),
+    ("TNTzminus", {-1, 0}, False, None, False, False, False),
+    ("TNTplusx TNTplusy", {-1, 1, 2}, False, None, False, False, False),
+    ("TNTplusplus", {1, 2}, False, None, False, False, False),
+    ("TNTplusminus", {-1, 2}, False, None, False, False, False),
+    ("TNTminusx TNTminusy", {-2, -1, 1}, False, None, False, False, False),
+    ("TNTminusplus", {-2, 1}, False, None, False, False, False),
+    ("TNTminusminus", {-2, -1}, False, None, False, False, False),
+)
+
+
+def test_kernel_facts_of_every_catalog_gate():
+    table = {name: facts for names, *facts in KERNEL_FACTS for name in names.split()}
+    for spec in every_spec():
+        name = spec.kind + "".join(spec.axes or "")
+        gen, _ = generator(spec, build_ledger(2))
+        got = [gen.offsets, gen.hermitian, gen.azimuth, gen.split, gen.flip, gen.key == ()]
+        assert got == table.pop(name), name
+    assert not table
+
+
 # blocks whose bands give the dense build bit for bit; the others sum two
 # products per entry, which a BLAS product may fuse (one rounding less)
 BAND_BITWISE = {"RX", "RY", "RZ", "RN", "R_PLUS", "R_MINUS", "RZ2", "OATz", "TATxy",

@@ -380,6 +380,24 @@ def test_other_kets_still_form_k(monkeypatch):
             assert calls == [3.0], (kind, state._ket[1])
 
 
+def test_only_rotations_take_the_closed_form(monkeypatch):
+    """On |j, +-j>, RX, RY and RN take the closed form, and every other
+    catalog kind and axis pair reaches the per-block update."""
+    calls = []
+    update = gates._update
+
+    def counted(gen, angle, j):
+        calls.append(j)
+        return update(gen, angle, j)
+
+    monkeypatch.setattr(gates, "_update", counted)
+    for spec in catalog_specs(4):
+        for state in (excited_state(4), ground_state(4)):
+            calls.clear()
+            apply_gate(state, spec)
+            assert calls == ([] if spec.kind in ("RX", "RY", "RN") else [2.0]), spec
+
+
 @pytest.mark.parametrize("n", [1, 7, 100, 10_000])
 def test_css_state_is_a_rotated_extreme_state(n):
     """css_state(N, theta, phi) is RN(theta - pi, -phi) on the ground state
