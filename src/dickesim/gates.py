@@ -86,10 +86,12 @@ and no (2j+1)^2 array, in two cases:
 
 ``_eigenpairs`` keeps the eigenpairs of all three forms in one byte-bounded
 LRU cache shared by every call; both halves of a split R_j are one real
-entry.  J_x^2's halves, which every parity-split G with an azimuth uses,
-are keyed by 2j alone.  Any other G_j depends on 2j and on every gate
-parameter except the angle (and, for TNT, on N/Lambda), and so does its
-key; RN's azimuth, which is no gauge but changes G itself, is part of it.
+entry.  An entry is keyed by 2j and by the key ``_recipe`` states, which
+names the matrix decomposed: J_x^2's halves, which every parity-split G
+with an azimuth uses, by 2j alone; the flip halves of J_z^2 - w J_x, which
+TNT(z, x) and TNT(z, y) share, by w = N/Lambda; any other G_j by its kind,
+its axes and what it depends on besides the angle: RN's azimuth, which is
+no gauge but changes G itself, and TNT's w.
 A key is stored on its second request only, so gates whose azimuth is drawn
 afresh each time never fill it.  A hit skips the generator build and the
 eigh, and gives K_j, or a split update, bit for bit as a miss does.
@@ -102,6 +104,7 @@ import math
 import re
 import threading
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -236,43 +239,57 @@ def _sq(op):
 _AZIMUTHS = {"x": 0.0, "y": np.pi / 2.0}
 
 
-def _recipe(spec: GateSpec, n_particles: int) -> tuple[Callable, float, bool, float | None]:
+def _recipe(
+    spec: GateSpec, n_particles: int
+) -> tuple[Callable, float, bool, float | None, tuple]:
     """(builder over an axis->operator map, gate angle, generator Hermitian?,
-    azimuth alpha or None).
+    azimuth alpha or None, eigenpair key).
 
     Shared by the collective engine and the full-space oracle: the builder only
     uses +, -, scalar * and @, so it composes block operators and dense
     matrices alike.  alpha is given when G = D R D^dag, D = exp(-i alpha J_z),
     for a real R built from J_x and J_z: R = J_x^2 (RX2, RY2, OAT x|y, GMS)
     or R = J_z^2 - w J_x (TNT(z, x|y)), since D J_x D^dag = J_x cos alpha +
-    J_y sin alpha.
+    J_y sin alpha.  The key names the matrix whose eigenpairs the kernel
+    needs, besides 2j: the empty key for J_x^2, the bit pattern of
+    w = N/Lambda alone for J_z^2 - w J_x, and for any other G_j its kind, its
+    axes and the bit patterns (so -0.0 != 0.0) of what it depends on besides
+    the angle: RN's phi, TNT's w.  A diagonal or non-Hermitian G decomposes
+    nothing, so its key is never read.
     """
     kind, params, axes = spec.kind, spec.params, spec.axes
+    key = kind, axes
     if kind in ("RX", "RY", "RZ"):
         ax = kind[1].lower()
-        return (lambda o: o[ax]), params[0], True, None
+        return (lambda o: o[ax]), params[0], True, None, key
     if kind == "RN":
         theta, phi = params
         c, s = np.cos(phi), np.sin(phi)
-        return (lambda o: o["y"] * c - o["x"] * s), theta, True, None
+        return (lambda o: o["y"] * c - o["x"] * s), theta, True, None, key + (phi.hex(),)
     if kind in ("R_PLUS", "R_MINUS"):
         ax = "plus" if kind == "R_PLUS" else "minus"
-        return (lambda o: o[ax]), params[0], False, None
+        return (lambda o: o[ax]), params[0], False, None, key
     if kind in ("RX2", "RY2", "RZ2", "OAT"):
         ax = axes[0] if kind == "OAT" else kind[1].lower()
-        return (lambda o: _sq(o[ax])), params[0], True, _AZIMUTHS.get(ax)
+        alpha = _AZIMUTHS.get(ax)
+        return (lambda o: _sq(o[ax])), params[0], True, alpha, key if alpha is None else ()
     if kind in ("TAT", "TNT"):
         a, b = axes
         herm = a in _SINGLE_AXES and b in _SINGLE_AXES
         if kind == "TAT":
-            return (lambda o: _sq(o[a]) - _sq(o[b])), params[0], herm, None
+            return (lambda o: _sq(o[a]) - _sq(o[b])), params[0], herm, None, key
         w = n_particles / params[1]
+        if not math.isfinite(w * n_particles):  # no spin band entry exceeds N
+            top = spin_bands(n_particles)[b].diags.values()  # the largest on the top block
+            if not math.isfinite(w * max(float(np.abs(v).max()) for v in top)):
+                raise NumericError(f"TNT coupling term overflows: w = N/Lambda = {w:g}")
         azimuth = _AZIMUTHS.get(b) if a == "z" else None
-        return (lambda o: _sq(o[a]) - w * o[b]), params[0], herm, azimuth
+        key = (w.hex(),) if azimuth is not None else key + (w.hex(),)
+        return (lambda o: _sq(o[a]) - w * o[b]), params[0], herm, azimuth, key
     if kind == "GMS":
         theta, phi = params
         c, s = np.cos(phi), np.sin(phi)
-        return (lambda o: _sq(o["x"] * c + o["y"] * s)), theta, True, phi
+        return (lambda o: _sq(o["x"] * c + o["y"] * s)), theta, True, phi, ()
     raise DomainError(f"unknown gate kind {kind!r}")
 
 
@@ -436,20 +453,6 @@ class _EigenpairCache:
 _EIGENPAIRS = _EigenpairCache(EIGENPAIR_CACHE_BYTES, _SEEN_ONCE_KEYS)
 
 
-def _gate_key(spec: GateSpec, n_particles: int, quadratic: bool) -> tuple:
-    """Everything a block generator's eigenpairs depend on besides 2j.  The
-    quadratic rotations (``quadratic``: a parity-split G with an azimuth, so
-    R = J_x^2) all use the eigenpairs of J_x^2: the empty key.  Other kinds:
-    the kind, the axes, every parameter but the angle (bit patterns, so
-    -0.0 != 0.0) and, for TNT, the N/Lambda its recipe uses."""
-    if quadratic:
-        return ()
-    params = spec.params[1:]
-    if spec.kind == "TNT":
-        params += (n_particles / spec.params[1],)
-    return spec.kind, spec.axes, tuple(p.hex() for p in params)
-
-
 @lru_cache(maxsize=None)
 def _band_offsets(kind: str, axes: tuple[str, ...] | None) -> frozenset[int]:
     """A generator's band offsets, fixed by kind and axes: read off a 1x1 block."""
@@ -460,8 +463,9 @@ def _band_offsets(kind: str, axes: tuple[str, ...] | None) -> frozenset[int]:
 @dataclass(frozen=True, eq=False)
 class BlockGenerator:
     """A generator G kept as its recipe: ``bands(j)`` builds G_j as bands.
-    ``offsets`` are G's band offsets, the same on every block; ``key`` is
-    everything G_j's eigenpairs depend on besides 2j (see ``_gate_key``);
+    ``offsets`` are G's band offsets, the same on every block; ``key`` names
+    the matrix whose eigenpairs G_j's kernel needs, besides 2j (see
+    ``_recipe``);
     ``azimuth`` is alpha if G = D_alpha R D_alpha^dag for a real R (see
     ``_recipe``); ``js`` are the blocks it was made for.  These facts alone
     pick the kernel form of every block (see the module docstring)."""
@@ -494,13 +498,12 @@ def generator(
 ) -> tuple[BlockGenerator, float]:
     """Generator G and angle t with gate K = exp(-i t G), for blocks ``js``
     only (every ledger block if None).  No block is built here."""
-    build, angle, herm, azimuth = _recipe(spec, ledger.n_particles)
+    build, angle, herm, azimuth, key = _recipe(spec, ledger.n_particles)
     if js is None:
         js = ledger.js
     for j in js:
         ledger.block_index(j)
     offsets = _band_offsets(spec.kind, spec.axes)
-    key = _gate_key(spec, ledger.n_particles, azimuth is not None and 1 not in offsets)
     return BlockGenerator(build, herm, offsets, key, azimuth, tuple(js)), angle
 
 
@@ -658,29 +661,32 @@ def apply_gate(state: CollectiveState, spec: GateSpec) -> CollectiveState:
     leave the active block set unchanged; a noise step reads rho and may
     activate neighboring blocks.  A non-unitary K's result is renormalized
     (rho by its trace, psi by its norm) and flagged conditional; a ket
-    stays a ket.
+    stays a ket.  Such a K, its product with the state or the norm may
+    overflow: NumPy stays quiet there, and the gate raises NumericError on
+    the state it cannot normalize.
     """
     gen, angle = generator(spec, state.ledger, state.active_js)
     conditional = state.conditional or not gen.hermitian
-    if state._ket is not None:
-        j, psi = state._ket
-        rotated = _extreme_rotation(gen, angle, psi)
-        psi = _update(gen, angle, j)(psi) if rotated is None else rotated
-        if not gen.hermitian:
-            psi /= _normalization(np.linalg.norm(psi), spec.kind)
-        out = CollectiveState._pure(state.ledger, j, psi, conditional)
-    else:
-        blocks = {}
-        for j, x in state.items():
-            update = _update(gen, angle, j)
-            for _ in range(2):  # each ^dag a fresh C-contiguous array
-                x = update(x)  # rebound first, so the old x is dropped before the ^dag
-                x = np.conjugate(x.T, order="C")
-            blocks[j] = x
-        if not gen.hermitian:
-            total = _normalization(sum(np.trace(b).real for b in blocks.values()), spec.kind)
-            blocks = {j: b / total for j, b in blocks.items()}
-        out = CollectiveState._mixed(state.ledger, blocks, conditional)
+    with nullcontext() if gen.hermitian else np.errstate(over="ignore", invalid="ignore"):
+        if state._ket is not None:
+            j, psi = state._ket
+            rotated = _extreme_rotation(gen, angle, psi)
+            psi = _update(gen, angle, j)(psi) if rotated is None else rotated
+            if not gen.hermitian:
+                psi /= _normalization(np.linalg.norm(psi), spec.kind)
+            out = CollectiveState._pure(state.ledger, j, psi, conditional)
+        else:
+            blocks = {}
+            for j, x in state.items():
+                update = _update(gen, angle, j)
+                for _ in range(2):  # each ^dag a fresh C-contiguous array
+                    x = update(x)  # rebound first, so the old x is dropped before the ^dag
+                    x = np.conjugate(x.T, order="C")
+                blocks[j] = x
+            if not gen.hermitian:
+                total = _normalization(sum(np.trace(b).real for b in blocks.values()), spec.kind)
+                blocks = {j: b / total for j, b in blocks.items()}
+            out = CollectiveState._mixed(state.ledger, blocks, conditional)
     if spec.noise is not None and spec.noise > 0.0:
         from .noise import depolarize
 

@@ -134,7 +134,7 @@ def full_depolarize(rho: np.ndarray, epsilon: float, n: int) -> np.ndarray:
 def full_apply_gate(rho: np.ndarray, spec: GateSpec, n: int) -> np.ndarray:
     from scipy.linalg import expm  # here, so that importing the CLI loads no SciPy
 
-    build, angle, hermitian, _ = _recipe(spec, n)
+    build, angle, hermitian = _recipe(spec, n)[:3]
     gen = build(full_collective_ops(n))
     k = expm(-1j * angle * gen)
     rho = k @ rho @ k.conj().T

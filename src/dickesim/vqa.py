@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dicke import CollectiveState, build_ledger, ground_state
-from .errors import DomainError, NumericError, UnsupportedConfigError
+from .errors import DegenerateFrameError, DomainError, NumericError, UnsupportedConfigError
 from .gates import Circuit, GateSpec, apply_circuit, apply_gate
 from .squeezing import get_xi_2_S
 
@@ -353,8 +353,9 @@ def fit(
 
     A non-finite ``initial`` raises DomainError before any circuit runs.
 
-    A cost failure mid-run (degenerate frame) stops the loop and returns the
-    partial history with converged=False.
+    A degenerate mean-spin frame mid-run (DegenerateFrameError) stops the
+    loop and returns the partial history with converged=False; any other
+    NumericError, such as a step whose phases overflow, propagates.
     """
     if initial is None:
         rng = np.random.default_rng(seed)
@@ -397,7 +398,7 @@ def fit(
                 g = _metric(center, [ket for _, ket in probes], config.eps_fd)
                 theta = qng_step(theta, grad, g, config.learning_rate)
             value, center = read(theta, anchor=True)
-        except NumericError:
+        except DegenerateFrameError:
             break
         history.append(value)
         thetas.append(theta.copy())

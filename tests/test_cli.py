@@ -1,10 +1,15 @@
 """CLI surface: exit codes, CSV formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dickesim
 from dickesim.cli import main
 
 GHZ_JSON = json.dumps({"n": 4, "gates": [{"kind": "GMS", "params": [np.pi / 2, 0.0]}]})
@@ -22,6 +27,32 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def run_cli_process(*argv):
+    """The CLI in a fresh interpreter with NumPy's RuntimeWarnings as errors,
+    as CI's smoke steps run it: a warning ends the run in a traceback."""
+    src = str(Path(dickesim.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "dickesim.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "error::RuntimeWarning"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def assert_one_error_exit_4(proc):
+    assert proc.returncode == 4, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def assert_run_fails_writing_nothing(tmp_path, circuit):
+    path, out = tmp_path / "circuit.json", tmp_path / "p.csv"
+    path.write_text(json.dumps(circuit))
+    assert_one_error_exit_4(run_cli_process("run", str(path), "--shots", "10", "--out", str(out)))
+    assert not out.exists() and not (tmp_path / "p.csv.counts.csv").exists()
 
 
 @pytest.fixture
@@ -146,31 +177,27 @@ class TestRun:
     def test_overflowing_phase_exit_4_writes_nothing(self, tmp_path):
         # RZ2's phase argument theta * m^2 overflows at m = +-2: the gate
         # fails with one error line, and no NumPy warning reaches stderr
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import dickesim
-
-        path = tmp_path / "overflow.json"
-        path.write_text(json.dumps({"n": 4, "gates": [
+        assert_run_fails_writing_nothing(tmp_path, {"n": 4, "gates": [
             {"kind": "RX", "params": [0.3]}, {"kind": "RZ2", "params": [1e308]},
-        ]}))
-        out = tmp_path / "p.csv"
-        src = str(Path(dickesim.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "dickesim.cli", "run", str(path), "--shots", "10",
-             "--out", str(out)],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 4, proc.stderr
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
-        assert not out.exists() and not (tmp_path / "p.csv.counts.csv").exists()
+        ]})
+
+    @pytest.mark.parametrize("n, gates", [
+        (4, [{"kind": "R_PLUS", "params": [1e300]}]),
+        (8, [{"kind": "RX", "params": [0.3], "noise": 0.1}, {"kind": "R_MINUS", "params": [1e300]}]),
+        (1, [{"kind": "R_PLUS", "params": [1e200]}]),
+    ], ids=["R_PLUS-ket", "R_MINUS-rho", "R_PLUS-norm"])
+    def test_overflowing_ladder_gate_exit_4_writes_nothing(self, tmp_path, n, gates):
+        # the ladder series, K x or the ket's norm overflows: the state cannot
+        # be normalized, and the gate fails before NumPy warns
+        assert_run_fails_writing_nothing(tmp_path, {"n": n, "gates": gates})
+
+    @pytest.mark.parametrize("n, coupling, axes", [(3, 1e-308, "zx"), (1000, 1e-303, "zy")])
+    def test_overflowing_tnt_coupling_exit_4_writes_nothing(self, tmp_path, n, coupling, axes):
+        # w = N/Lambda overflows at N = 3; at N = 1000 w is finite but w J_y
+        # overflows: the recipe fails before the builder multiplies
+        assert_run_fails_writing_nothing(tmp_path, {"n": n, "gates": [
+            {"kind": "TNT", "params": [0.3, coupling], "axes": axes},
+        ]})
 
     @pytest.mark.parametrize("gate", [
         '"TAT", "params": [0.1], "axes": ["x", "y"]',
@@ -398,6 +425,15 @@ class TestVqa:
         captured = capsys.readouterr()
         assert captured.err == "error: --seed must be >= 0, got -1\n"
         assert captured.out == "" and not out.exists()
+
+    def test_overflowing_step_exit_4_writes_nothing(self, tmp_path):
+        # the first gradient step's phases overflow: the fit stops only on a
+        # degenerate frame, so this error ends the run and no CSV is written
+        out = tmp_path / "vqa.csv"
+        assert_one_error_exit_4(run_cli_process(
+            "vqa", "--n", "20", "--optimizer", "gd", "--lr", "1e305",
+            "--init", "0.1,0.1,0.1", "--max-iter", "5", "--out", str(out)))
+        assert not out.exists()
 
     def test_table1_zero_tnt_angle(self, capsys):
         # t2 = 0 makes the TNT gate the identity under either coupling reading

@@ -1,15 +1,17 @@
 """The eigenpair cache behind ``apply_gate``.
 
 Hermitian, non-diagonal block generators keep their eigenpairs (w, V) in one
-byte-bounded LRU cache keyed by (2j, kind, axes, every parameter but the
-angle[, N/Lambda]), in one of three eigen-forms:
+byte-bounded LRU cache keyed by 2j and the matrix decomposed, in one of three
+eigen-forms:
 
 * the parity split: every Hermitian generator with band offsets {-2, 0, 2}
   keeps the two real parity halves of one real matrix as one entry; the
   quadratic rotations (GMS, RX2, RY2, OAT x|y) share those of J_x^2, keyed
-  by (2j,) alone; TAT over x/y/z pairs and TNT(x|y, z) decompose G_j itself;
-* the flip split: TNT(z, x) and TNT(z, y) keep the two real halves of
-  J_z^2 - w J_x folded by the storage reversal m -> -m as one real entry;
+  by (2j,) alone; TAT over x/y/z pairs and TNT(x|y, z) decompose G_j itself,
+  keyed by kind, axes and, for TNT, N/Lambda;
+* the flip split: TNT(z, x) and TNT(z, y) share the two real halves of
+  J_z^2 - w J_x folded by the storage reversal m -> -m as one real entry,
+  keyed by (2j, w);
 * the dense complex eigh: RX, RY, RN and TNT(x|y, x|y).
 
 A key is stored on its second request, and a hit must give states
@@ -145,9 +147,10 @@ def test_two_azimuths_do_not_share_an_entry():
 
 
 def test_signed_zero_azimuths_are_distinct_keys():
-    assert gates._gate_key(GateSpec("RN", (0.8, 0.0)), 6, False) != gates._gate_key(
-        GateSpec("RN", (0.8, -0.0)), 6, False
-    )
+    ledger = build_ledger(6)
+    assert generator(GateSpec("RN", (0.8, 0.0)), ledger)[0].key != generator(
+        GateSpec("RN", (0.8, -0.0)), ledger
+    )[0].key
 
 
 def test_two_tnt_couplings_do_not_share_an_entry():
@@ -430,7 +433,7 @@ def test_parity_split_keeps_one_real_entry_per_block(spec, monkeypatch):
     cold = apply_gate(state, spec)
     apply_gate(state, spec)
     assert sorted(CACHE._entries) == sorted(
-        (int(2 * j),) + gates._gate_key(spec, 7, False) for j in state.active_js
+        (int(2 * j),) + generator(spec, state.ledger)[0].key for j in state.active_js
     )
     for (twoj, *_), (w, v) in CACHE._entries.items():
         assert w.dtype == v.dtype == np.float64
@@ -517,7 +520,7 @@ def test_split_gate_on_rho_admits_on_second_use():
         assert len(CACHE) == 0
         apply_gate(state, spec)
         assert sorted(CACHE._entries) == sorted(
-            (int(2 * j),) + gates._gate_key(spec, 7, spec.kind == "GMS") for j in state.active_js
+            (int(2 * j),) + generator(spec, state.ledger)[0].key for j in state.active_js
         )
 
 
@@ -575,7 +578,7 @@ def test_flip_split_keeps_one_real_entry_per_block(spec, monkeypatch):
     # real half-size eighs only: the largest block has d = 8
     assert sizes and max(sizes) == 4
     assert sorted(CACHE._entries) == sorted(
-        (int(2 * j),) + gates._gate_key(spec, 7, False) for j in state.active_js
+        (int(2 * j),) + generator(spec, state.ledger)[0].key for j in state.active_js
     )
     for (twoj, *_), (w, v) in CACHE._entries.items():
         assert w.dtype == v.dtype == np.float64
@@ -583,6 +586,24 @@ def test_flip_split_keeps_one_real_entry_per_block(spec, monkeypatch):
     forbid_eigh(monkeypatch)
     assert_states_equal(cold, apply_gate(state, spec))
     assert np.array_equal(cold_ket._ket[1], apply_gate(ket, spec)._ket[1])
+
+
+def test_tnt_zx_and_zy_share_one_flip_entry(monkeypatch):
+    # TNT(z, y) = D R D^dag with TNT(z, x)'s R_j = J_z^2 - w J_x: at equal
+    # N/Lambda the two hold one entry per block, and TNT(z, y) on the entry
+    # TNT(z, x) stored gives rho and a ket bit for bit as a cold cache does
+    state, ket = mixed_state(7), css_state(7, 1.1, 2.3)
+    zx, zy = (GateSpec("TNT", (0.35, 2.5), axes=axes) for axes in ("zx", "zy"))
+    cold, cold_ket = apply_gate(state, zy), apply_gate(ket, zy)
+    CACHE.clear()
+    for _ in range(2):
+        apply_gate(state, zx)
+    keys = sorted(CACHE._entries)
+    assert keys == sorted((int(2 * j), (7 / 2.5).hex()) for j in state.active_js)
+    forbid_eigh(monkeypatch)
+    assert_states_equal(cold, apply_gate(state, zy))
+    assert np.array_equal(cold_ket._ket[1], apply_gate(ket, zy)._ket[1])
+    assert sorted(CACHE._entries) == keys
 
 
 def test_flip_split_at_2j_1000(monkeypatch):

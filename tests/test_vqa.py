@@ -6,7 +6,9 @@ import pytest
 from dickesim import (
     AdamState,
     Ansatz,
+    DegenerateFrameError,
     DomainError,
+    NumericError,
     OptimizerConfig,
     UnsupportedConfigError,
     adam_step,
@@ -285,6 +287,28 @@ class TestFit:
         res = fit(Ansatz(6), cfg, [0.01, 0.01, 0.01])
         assert res.converged
         assert len(res.cost_history) < 51
+
+    def test_only_a_degenerate_frame_stops_quietly(self, monkeypatch):
+        # a step whose phases overflow raises; a degenerate frame mid-run
+        # returns the partial history, unconverged
+        from dickesim import vqa
+
+        cfg = OptimizerConfig(kind="gd", learning_rate=1e305, max_iter=5)
+        with pytest.raises(NumericError) as info:
+            fit(Ansatz(20), cfg, [0.1, 0.1, 0.1])
+        assert not isinstance(info.value, DegenerateFrameError)
+        costs = iter([1.0])
+
+        def degenerate_after_the_first(state):
+            try:
+                return next(costs)
+            except StopIteration:
+                raise DegenerateFrameError("mean spin vanishes") from None
+
+        monkeypatch.setattr(vqa, "get_xi_2_S", degenerate_after_the_first)
+        cfg = OptimizerConfig(kind="gd", learning_rate=1e-3, max_iter=5)
+        res = fit(Ansatz(6), cfg, [0.01, 0.01, 0.01])
+        assert res.cost_history == [1.0] and not res.converged
 
     def test_wrong_parameter_count(self):
         cfg = OptimizerConfig(kind="gd", learning_rate=1e-3, max_iter=1)
