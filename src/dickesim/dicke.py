@@ -70,6 +70,16 @@ def _twoj(j: float) -> int:
     return int(round(twoj))
 
 
+def _integer(value, name: str, least: int) -> int:
+    """value as an int; a bool, a non-integer or a value below ``least``
+    raises DomainError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def _particle_count(n_particles: int) -> int:
     """N as an int; a bool, a non-integer or N < 1 raises DomainError."""
     if isinstance(n_particles, bool) or not isinstance(n_particles, (int, np.integer)):
@@ -187,9 +197,10 @@ class CollectiveState:
     ``conditional`` marks states that went through a non-unitary ladder gate
     (R_plus / R_minus) and were renormalized, i.e. post-selected evolution.
     The blocks are read-only, so ``_moments`` keeps the measurement layer's
-    moment pair once it has been read.  The constructor copies each block,
-    so a caller's array is neither shared nor frozen; the engine hands over
-    the fresh blocks it made through ``_mixed``, which freezes them in place.
+    moment pair once it has been read.  The constructor rejects a non-finite
+    entry and copies each block, so a caller's array is neither shared nor
+    frozen; the engine hands over the fresh blocks it made through
+    ``_mixed``, which freezes them in place and checks nothing.
 
     A state made by ``_pure`` is held as a ket: ``_ket`` is (j, psi) with psi
     read-only, and its one block rho_j = psi psi^dagger is built on the first
@@ -215,6 +226,8 @@ class CollectiveState:
                 raise DomainError(
                     f"block j = {j} must be {want}x{want}, got {mat.shape}"
                 )
+            if not np.isfinite(mat).all():
+                raise DomainError(f"block j = {j} holds a non-finite entry")
             copies[j] = mat
         self._set_blocks(ledger, copies, conditional)
 

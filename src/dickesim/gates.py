@@ -59,10 +59,11 @@ Both splits give K_j = D T (+)_p V_p e^{-i t w_p} V_p^T T D^dag, T the
 identity for the parity split and the butterfly, T = T^T = T^-1, for the
 flip split.  ``_split_apply`` takes x to K_j x in place, with two real
 half-size products per half on the float view of the complex x, forming
-neither K_j nor a second copy of x: the parity halves are the even and odd
-rows, and the flip halves, after T in place (``_butterfly``), the top
-(d + 1) // 2 rows and the bottom d // 2 rows read upward.  Every other G's
-K_j is formed by ``_propagator`` and applied as the product K_j x.
+neither K_j nor a second copy of x: it pairs each half (w_p, V_p) with its
+rows, the even and odd rows for the parity halves, and for the flip halves,
+after T in place (``_butterfly``), the top (d + 1) // 2 rows and the
+bottom d // 2 rows read upward.  Every other G's K_j is formed by
+``_propagator`` and applied as the product K_j x.
 
 A non-Hermitian G gives a non-unitary K: the conjugated state is renormalized
 to unit trace (a ket to unit norm) and flagged ``conditional`` (the map is
@@ -85,16 +86,20 @@ and no (2j+1)^2 array, in two cases:
 * a parity- or flip-split G, by ``_split_apply``.
 
 ``_eigenpairs`` keeps the eigenpairs of all three forms in one byte-bounded
-LRU cache shared by every call; both halves of a split R_j are one real
-entry.  An entry is keyed by 2j and by the key ``_recipe`` states, which
-names the matrix decomposed: J_x^2's halves, which every parity-split G
-with an azimuth uses, by 2j alone; the flip halves of J_z^2 - w J_x, which
-TNT(z, x) and TNT(z, y) share, by w = N/Lambda; any other G_j by its kind,
-its axes and what it depends on besides the angle: RN's azimuth, which is
-no gauge but changes G itself, and TNT's w.
-A key is stored on its second request only, so gates whose azimuth is drawn
-afresh each time never fill it.  A hit skips the generator build and the
-eigh, and gives K_j, or a split update, bit for bit as a miss does.
+LRU cache shared by every call, reached by one ``fetch(key, decompose)``.
+Every entry has one layout, a tuple of (w_p, V_p) halves, each half its
+own eigenpairs: one complex half for the dense eigh, two real halves, of
+sizes (d + 1) // 2 and d // 2, for a split R_j.  An entry is keyed by 2j
+and by the key ``_recipe`` states, which names the matrix decomposed:
+J_x^2's halves, which every parity-split G with an azimuth uses, by 2j
+alone; the flip halves of J_z^2 - w J_x, which TNT(z, x) and TNT(z, y)
+share, by w = N/Lambda; any other G_j by its kind, its axes and what it
+depends on besides the angle: RN's azimuth, which is no gauge but changes
+G itself, and TNT's w.  ``fetch`` runs ``decompose`` on a miss, outside
+the cache's lock, and keeps its result on the key's second request only,
+so gates whose azimuth is drawn afresh each time never fill it.  A hit
+skips the generator build and the eigh, and gives K_j, or a split update,
+bit for bit as a miss does.
 """
 
 from __future__ import annotations
@@ -112,7 +117,15 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dicke import Banded, BlockLedger, CollectiveState, _spinor_power, _twoj, spin_bands
+from .dicke import (
+    Banded,
+    BlockLedger,
+    CollectiveState,
+    _particle_count,
+    _spinor_power,
+    _twoj,
+    spin_bands,
+)
 from .errors import CircuitParseError, DomainError, NumericError
 
 __all__ = [
@@ -228,6 +241,7 @@ class Circuit:
     instructions: tuple[GateSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        object.__setattr__(self, "n_particles", _particle_count(self.n_particles))
         object.__setattr__(self, "instructions", tuple(self.instructions))
 
 
@@ -336,34 +350,32 @@ def _eigh(g: np.ndarray, j: float) -> tuple[np.ndarray, np.ndarray]:
 _PARITY_OFFSETS = frozenset({-2, 0, 2})
 
 
-def _halves_eigh(halves, j: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of two real symmetric tridiagonal halves, given as (diagonal,
-    subdiagonal) pairs of sizes d_0 = (d + 1) // 2 and d_1 = d // 2, each by
-    a real eigh: half p's pairs are w[p::2] and v[p::2, :d_p]."""
-    d = sum(diag.size for diag, _ in halves)
-    w = np.empty(d)
-    v = np.zeros((d, (d + 1) // 2))
-    for p, (diag, sub) in enumerate(halves):
+def _halves_eigh(halves, j: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Eigenpairs (w_p, V_p) of each real symmetric tridiagonal half, given
+    as (diagonal, subdiagonal) pairs, each by a real eigh."""
+    pairs = []
+    for diag, sub in halves:
         n = diag.size
         half = np.zeros((n, n))  # eigh reads the lower triangle only
         half.reshape(-1)[:: n + 1] = diag
         half.reshape(-1)[n :: n + 1] = sub
-        w[p::2], v[p::2, :n] = _eigh(half, j)
-    return w, v
+        pairs.append(_eigh(half, j))
+    return tuple(pairs)
 
 
-def _parity_eigh(g: Banded, j: float) -> tuple[np.ndarray, np.ndarray]:
+def _parity_eigh(g: Banded, j: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Eigenpairs of a real G_j with band offsets {-2, 0, 2}: its even and
-    odd storage indices are two uncoupled real tridiagonal halves."""
+    odd storage indices are two uncoupled real tridiagonal halves, of sizes
+    (d + 1) // 2 and d // 2."""
     return _halves_eigh([(g.diags[0][p::2].real, g.diags[-2][p::2][1:].real) for p in (0, 1)], j)
 
 
-def _flip_eigh(r: Banded, j: float) -> tuple[np.ndarray, np.ndarray]:
+def _flip_eigh(r: Banded, j: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Eigenpairs of a real tridiagonal R_j that storage reversal leaves
-    unchanged, as the halves of T R_j T (T = ``_butterfly``): the middle
-    coupling beta = R[h, h - 1], h = d // 2, adds +-beta to the halves' last
-    diagonal entries for even d and joins half 0 to the middle as sqrt2 beta
-    for odd d."""
+    unchanged, as the halves of T R_j T (T = ``_butterfly``), of sizes
+    (d + 1) // 2 and d // 2: the middle coupling beta = R[h, h - 1],
+    h = d // 2, adds +-beta to the halves' last diagonal entries for even d
+    and joins half 0 to the middle as sqrt2 beta for odd d."""
     diag, sub = r.diags[0], r.diags[-1][1:]
     h = diag.size // 2
     if diag.size % 2:
@@ -397,57 +409,61 @@ _SEEN_ONCE_KEYS = 4096
 
 
 class _EigenpairCache:
-    """LRU map from a block-generator key to its read-only eigenpairs (w, V),
-    bounded by bytes.  A key is stored on its second request only: the first
-    one just enters the bounded seen-once set.  Thread safe; eigh runs outside
-    the lock, so two threads may decompose one key and store it once."""
+    """LRU map from a block-generator key to its read-only eigenpair halves
+    ((w_0, V_0), ...), bounded by bytes: one complex half for a dense eigh,
+    two real ones for a split.  ``fetch`` is the one way in.  Thread safe;
+    a decomposition runs outside the lock, so two threads may decompose one
+    key and store it once."""
 
     def __init__(self, max_bytes: int, max_seen: int):
         self.max_bytes = max_bytes
         self.max_seen = max_seen
         self.nbytes = 0
-        self._entries: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-        self._seen: OrderedDict[tuple, None] = OrderedDict()
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
+        self._seen: OrderedDict[tuple, bool] = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, key: tuple) -> tuple[tuple[np.ndarray, np.ndarray] | None, bool]:
-        """(cached eigenpairs or None, whether a miss should be stored)."""
+    def fetch(self, key: tuple, decompose: Callable[[], tuple]) -> tuple:
+        """The halves stored under ``key``, or else ``decompose()``'s, kept
+        only on the key's second request: the first one just enters the
+        bounded seen-once set, and an entry larger than the budget is never
+        kept."""
         with self._lock:
             hit = self._entries.get(key)
             if hit is not None:
                 self._entries.move_to_end(key)
-                return hit, False
-            if key in self._seen:
-                del self._seen[key]
-                return None, True
-            self._seen[key] = None
-            if len(self._seen) > self.max_seen:
-                self._seen.popitem(last=False)
-            return None, False
-
-    def store(self, key: tuple, w: np.ndarray, v: np.ndarray) -> None:
-        size = w.nbytes + v.nbytes
-        if size > self.max_bytes:
-            return
-        w.flags.writeable = False
-        v.flags.writeable = False
+                return hit
+            second = self._seen.pop(key, False)  # the key's second request
+            if not second:
+                self._seen[key] = True
+                if len(self._seen) > self.max_seen:
+                    self._seen.popitem(last=False)
+        halves = decompose()
+        size = _nbytes(halves)
+        if not second or size > self.max_bytes:
+            return halves
+        for w, v in halves:
+            w.flags.writeable = v.flags.writeable = False
         with self._lock:
-            if key in self._entries:
-                return
-            self._entries[key] = (w, v)
-            self.nbytes += size
+            if key not in self._entries:
+                self._entries[key] = halves
+                self.nbytes += size
             while self.nbytes > self.max_bytes:
-                _, (w_old, v_old) = self._entries.popitem(last=False)
-                self.nbytes -= w_old.nbytes + v_old.nbytes
+                self.nbytes -= _nbytes(self._entries.popitem(last=False)[1])
+        return halves
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self._seen.clear()
             self.nbytes = 0
+
+
+def _nbytes(halves: tuple) -> int:
+    return sum(w.nbytes + v.nbytes for w, v in halves)
 
 
 _EIGENPAIRS = _EigenpairCache(EIGENPAIR_CACHE_BYTES, _SEEN_ONCE_KEYS)
@@ -507,30 +523,29 @@ def generator(
     return BlockGenerator(build, herm, offsets, key, azimuth, tuple(js)), angle
 
 
-def _eigenpairs(gen: BlockGenerator, j: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (w, V) of a Hermitian, non-diagonal G_j, from the cache or
-    decomposed and stored on the key's second request, in one of three
-    eigen-forms: the parity split (``gen.split``: the halves of R_j = G_j, or
-    of J_x^2 with its exact m^2 spectrum for an azimuth), the flip split
-    (``gen.flip``: the folded halves of R_j = J_z^2 - w J_x), or else the
-    dense complex eigh."""
+def _eigenpairs(gen: BlockGenerator, j: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Eigenpair halves ((w_p, V_p), ...) of a Hermitian, non-diagonal G_j,
+    fetched from the cache, in one of three eigen-forms: the parity split
+    (``gen.split``: the halves of R_j = G_j, or of J_x^2 with its exact m^2
+    spectrum for an azimuth), the flip split (``gen.flip``: the folded halves
+    of R_j = J_z^2 - w J_x), or else the one half of the dense complex eigh."""
     twoj = _twoj(j)
-    key = (twoj,) + gen.key
-    pair, admit = _EIGENPAIRS.lookup(key)
-    if pair is None:
+
+    def decompose() -> tuple:
         if gen.flip:  # D maps J_x to J_y and fixes J_z: R_j is G_j with J_y read as J_x
             bands = spin_bands(twoj)
-            pair = _flip_eigh(gen.build({**bands, "y": bands["x"]}), j)
-        elif not gen.split:
-            pair = _eigh(gen.bands(j).dense(), j)
-        elif gen.azimuth is None:  # R_j = G_j
-            pair = _parity_eigh(gen.bands(j), j)
-        else:  # R_j = J_x^2, whose halves' spectra are exactly the m^2, ascending
-            v = _parity_eigh(_sq(spin_bands(twoj)["x"]), j)[1]
-            pair = np.sort(np.square(j - np.arange(twoj + 1))), v
-        if admit:
-            _EIGENPAIRS.store(key, *pair)
-    return pair
+            return _flip_eigh(gen.build({**bands, "y": bands["x"]}), j)
+        if not gen.split:
+            return (_eigh(gen.bands(j).dense(), j),)
+        if gen.azimuth is None:  # R_j = G_j
+            return _parity_eigh(gen.bands(j), j)
+        # R_j = J_x^2, whose halves' spectra are exactly the m^2: the sorted
+        # m^2 at even positions for half 0, at odd ones for half 1
+        m2 = np.sort(np.square(j - np.arange(twoj + 1)))
+        halves = _parity_eigh(_sq(spin_bands(twoj)["x"]), j)
+        return tuple((m2[p::2], v) for p, (_, v) in enumerate(halves))
+
+    return _EIGENPAIRS.fetch((twoj,) + gen.key, decompose)
 
 
 def _phases(angle: float, w: np.ndarray, j: float) -> np.ndarray:
@@ -561,7 +576,7 @@ def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
         from scipy.linalg import expm
 
         return expm(-1j * angle * gen.bands(j).dense())
-    w, v = _eigenpairs(gen, j)
+    ((w, v),) = _eigenpairs(gen, j)
     # (V e^{-i t w}) V^dag as conj(conj(V e^{-i t w}) V^T), conjugated in
     # place: the same bits, with two (2j+1)^2 temporaries fewer
     k = v * _phases(angle, w, j)
@@ -570,30 +585,29 @@ def _propagator(gen: BlockGenerator, angle: float, j: float) -> np.ndarray:
 
 
 def _split_apply(
-    gen: BlockGenerator, pair: tuple, angle: float, j: float, x: np.ndarray
+    gen: BlockGenerator, halves: tuple, angle: float, j: float, x: np.ndarray
 ) -> np.ndarray:
     """x = K_j x along axis 0, in place, for a ``gen.split`` or ``gen.flip``
-    generator with eigenpairs ``pair`` (``_eigenpairs``), without forming K_j
-    (see the module docstring; T = ``_butterfly``, in place); returns x.  x
-    is a writable C-contiguous complex array of shape (d,) or (d, m), taken
-    on its float view."""
-    w, v = pair
+    generator with eigenpair halves ``halves`` (``_eigenpairs``), without
+    forming K_j (see the module docstring; T = ``_butterfly``, in place);
+    returns x.  x is a writable C-contiguous complex array of shape (d,) or
+    (d, m), taken on its float view."""
     d = x.shape[0]
     x2 = x.reshape(d, -1)  # a view: x is C-contiguous
+    phases = [_phases(angle, w, j)[:, None] for w, _ in halves]
     if gen.azimuth:
         gauge = _phases(gen.azimuth, j - np.arange(d), j)[:, None]  # D = diag(e^{-i alpha m})
         np.multiply(gauge.conj(), x2, out=x2)
     if gen.flip:  # half 0 on the top rows and the middle, half 1 on the bottom rows upward
         _butterfly(x2)
-        halves = slice((d + 1) // 2), slice(d - 1, (d - 1) // 2, -1)
+        rows = slice((d + 1) // 2), slice(d - 1, (d - 1) // 2, -1)
     else:
-        halves = slice(0, None, 2), slice(1, None, 2)
-    f, phases = x2.view(float), _phases(angle, w, j)[:, None]
-    for p, rows in enumerate(halves):
-        vp = v[p::2, : (d + 1 - p) // 2]
-        c = vp.T @ f[rows]  # the real and imaginary parts of V_p^T x_p, interleaved
-        c.view(complex)[:] *= phases[p::2]
-        f[rows] = vp @ c
+        rows = slice(0, None, 2), slice(1, None, 2)
+    f = x2.view(float)
+    for (_, v), phase, r in zip(halves, phases, rows):
+        c = v.T @ f[r]  # the real and imaginary parts of V_p^T x_p, interleaved
+        c.view(complex)[:] *= phase
+        f[r] = v @ c
     if gen.flip:
         _butterfly(x2)
     if gen.azimuth:
@@ -608,8 +622,8 @@ def _update(gen: BlockGenerator, angle: float, j: float) -> Callable[[np.ndarray
     product with the phase vector p or the matrix K_j of ``_propagator``.
     Each returns a fresh (or the overwritten) C-contiguous array."""
     if gen.split or gen.flip:
-        pair = _eigenpairs(gen, j)
-        return lambda x: _split_apply(gen, pair, angle, j, x if x.flags.writeable else x.copy())
+        halves = _eigenpairs(gen, j)
+        return lambda x: _split_apply(gen, halves, angle, j, x if x.flags.writeable else x.copy())
     k = _propagator(gen, angle, j)
     if k.ndim == 1:
         return lambda x: (k * x.T).T  # p x along axis 0, C-contiguous as x is
@@ -637,11 +651,24 @@ def _extreme_rotation(gen: BlockGenerator, angle: float, psi: np.ndarray) -> np.
     return psi[nonzero[0]] * _spinor_power(psi.size - 1, a, b)
 
 
+def _quiet(gen: BlockGenerator):
+    """The context a gate's kernels run in: NumPy's overflow and invalid
+    warnings off for a non-Hermitian G, whose K may overflow (its caller
+    raises NumericError on the result instead), and nothing for the rest."""
+    return nullcontext() if gen.hermitian else np.errstate(over="ignore", invalid="ignore")
+
+
 def exponentiate(operator: BlockGenerator, angle: float) -> dict[float, np.ndarray]:
     """Per-block matrices exp(-i * angle * G_j) on the generator's blocks:
     the per-block update ``apply_gate`` uses (``_update``), applied to the
-    identity."""
-    return {j: _update(operator, angle, j)(np.eye(_twoj(j) + 1, dtype=complex)) for j in operator.js}
+    identity.  A K_j that is not finite raises NumericError."""
+    out = {}
+    with _quiet(operator):
+        for j in operator.js:
+            out[j] = _update(operator, angle, j)(np.eye(_twoj(j) + 1, dtype=complex))
+            if not np.isfinite(out[j]).all():
+                raise NumericError(f"exp(-i t G) is not finite in block j = {j}")
+    return out
 
 
 def _normalization(total: float, kind: str) -> float:
@@ -667,7 +694,7 @@ def apply_gate(state: CollectiveState, spec: GateSpec) -> CollectiveState:
     """
     gen, angle = generator(spec, state.ledger, state.active_js)
     conditional = state.conditional or not gen.hermitian
-    with nullcontext() if gen.hermitian else np.errstate(over="ignore", invalid="ignore"):
+    with _quiet(gen):
         if state._ket is not None:
             j, psi = state._ket
             rotated = _extreme_rotation(gen, angle, psi)

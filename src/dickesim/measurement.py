@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import CollectiveState, _coherent_rows, _log_moduli, spin_bands
+from .dicke import CollectiveState, _coherent_rows, _integer, _log_moduli, spin_bands
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -88,9 +88,8 @@ def probabilities(state: CollectiveState) -> ProbTable:
 
 def sample(state: CollectiveState, shots: int, seed: int) -> ShotCounts:
     """Inverse-CDF sampling over the probability table, seeded and
-    deterministic (PCG64)."""
-    if shots < 1:
-        raise DomainError(f"shots must be >= 1, got {shots}")
+    deterministic (PCG64); shots >= 1 and seed >= 0 are integers."""
+    shots, seed = _integer(shots, "shots", 1), _integer(seed, "seed", 0)
     table = probabilities(state)
     p = np.array([row[2] for row in table.entries])
     cdf = np.cumsum(p)

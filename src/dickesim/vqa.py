@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dicke import CollectiveState, build_ledger, ground_state
+from .dicke import CollectiveState, _integer, build_ledger, ground_state
 from .errors import DegenerateFrameError, DomainError, NumericError, UnsupportedConfigError
 from .gates import Circuit, GateSpec, apply_circuit, apply_gate
 from .squeezing import get_xi_2_S
@@ -62,6 +62,13 @@ TNT_COUPLING_READINGS = ("table1", "appendix-omega")
 DEFAULT_TNT_COUPLING = "appendix-omega"
 
 
+def _check_reading(reading: str) -> None:
+    if reading not in TNT_COUPLING_READINGS:
+        raise DomainError(
+            f"tnt coupling reading must be one of {TNT_COUPLING_READINGS}, got {reading!r}"
+        )
+
+
 def tnt_coupling_value(
     n_particles: int, theta: float, omega: float, reading: str
 ) -> float:
@@ -70,10 +77,7 @@ def tnt_coupling_value(
     ``theta`` is the gate angle the TNT will be driven with; it only matters
     under the "appendix-omega" reading, where Lambda = N * theta / omega.
     """
-    if reading not in TNT_COUPLING_READINGS:
-        raise DomainError(
-            f"tnt coupling reading must be one of {TNT_COUPLING_READINGS}, got {reading!r}"
-        )
+    _check_reading(reading)
     if theta == 0.0:
         # the gate is exp(-i 0 G) = identity for any finite coupling
         return 1.0
@@ -98,6 +102,7 @@ class Ansatz:
 
     def __post_init__(self):
         build_ledger(self.n_particles)  # rejects N < 1 here, not at the first cost
+        _check_reading(self.tnt_coupling)  # and an unknown reading
 
     @property
     def n_params(self) -> int:
@@ -135,6 +140,11 @@ def _probe_points(theta: np.ndarray, eps_fd: float) -> list[np.ndarray]:
     return probes
 
 
+def _check_step(eps_fd: float) -> None:
+    if not 0 < eps_fd < np.inf:
+        raise DomainError(f"eps_fd must be finite and > 0, got {eps_fd}")
+
+
 def _central_difference(values, eps_fd: float) -> np.ndarray:
     """Row k is (f(theta + eps_fd e_k) - f(theta - eps_fd e_k)) / (2 eps_fd),
     from f's values (scalars or vectors) at ``_probe_points``."""
@@ -148,8 +158,7 @@ def grad_findiff(
     eps_fd: float,
 ) -> np.ndarray:
     """Central differences per coordinate: 2*dim independent evaluations."""
-    if eps_fd <= 0:
-        raise DomainError(f"finite-difference step must be > 0, got {eps_fd}")
+    _check_step(eps_fd)
     theta = np.asarray(theta, dtype=float)
     return _central_difference([fn(p) for p in _probe_points(theta, eps_fd)], eps_fd)
 
@@ -270,6 +279,7 @@ def _metric(center: np.ndarray, kets: list[np.ndarray], eps_fd: float) -> np.nda
 def fubini_study_metric(theta: np.ndarray, ansatz: Ansatz, eps_fd: float) -> np.ndarray:
     """g_kl = Re[<d_k psi|d_l psi> - <d_k psi|psi><psi|d_l psi>] with central
     finite differences on the phase-aligned pure-state vector."""
+    _check_step(eps_fd)
     theta = np.asarray(theta, dtype=float)
     runner = _AnsatzRunner(ansatz)
     center = _read_ket(runner.run(theta, anchor=True))
@@ -317,12 +327,10 @@ class OptimizerConfig:
             raise DomainError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}"
             )
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be >= 1")
+        _integer(self.max_iter, "max_iter", 1)
         if not self.tolerance >= 0:
             raise DomainError(f"tolerance must be >= 0, got {self.tolerance}")
-        if not 0 < self.eps_fd < np.inf:
-            raise DomainError(f"eps_fd must be finite and > 0, got {self.eps_fd}")
+        _check_step(self.eps_fd)
 
 
 @dataclass

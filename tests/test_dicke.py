@@ -181,6 +181,14 @@ def test_state_block_shape_validation():
         CollectiveState(led, {2.0: np.eye(3, dtype=complex)})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_state_rejects_a_non_finite_block(bad):
+    # its trace would be NaN, and get_xi_2_S NaN without raising
+    block = np.full((2, 2), bad)
+    with pytest.raises(DomainError, match="block j = 0.5 holds a non-finite entry"):
+        CollectiveState(build_ledger(1), {0.5: block})
+
+
 def test_state_copies_the_callers_block():
     # the state keeps a frozen copy; the caller's array stays its own
     a = np.eye(2, dtype=complex) / 2

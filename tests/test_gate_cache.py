@@ -1,21 +1,22 @@
 """The eigenpair cache behind ``apply_gate``.
 
-Hermitian, non-diagonal block generators keep their eigenpairs (w, V) in one
-byte-bounded LRU cache keyed by 2j and the matrix decomposed, in one of three
-eigen-forms:
+Hermitian, non-diagonal block generators keep their eigenpairs in one
+byte-bounded LRU cache keyed by 2j and the matrix decomposed.  Every entry
+is a tuple of (w, V) halves, in one of three eigen-forms:
 
 * the parity split: every Hermitian generator with band offsets {-2, 0, 2}
-  keeps the two real parity halves of one real matrix as one entry; the
+  keeps the two real parity halves of one real matrix as one entry of two
+  halves; the
   quadratic rotations (GMS, RX2, RY2, OAT x|y) share those of J_x^2, keyed
   by (2j,) alone; TAT over x/y/z pairs and TNT(x|y, z) decompose G_j itself,
   keyed by kind, axes and, for TNT, N/Lambda;
 * the flip split: TNT(z, x) and TNT(z, y) share the two real halves of
   J_z^2 - w J_x folded by the storage reversal m -> -m as one real entry,
   keyed by (2j, w);
-* the dense complex eigh: RX, RY, RN and TNT(x|y, x|y).
+* the dense complex eigh, one complex half: RX, RY, RN and TNT(x|y, x|y).
 
-A key is stored on its second request, and a hit must give states
-bit-identical to a cold cache.
+``fetch`` is the one way in; a key is stored on its second request, and a
+hit must give states bit-identical to a cold cache.
 """
 
 import itertools
@@ -76,6 +77,28 @@ def assert_states_equal(a, b):
         assert np.array_equal(rho, b.block(j)), f"block j = {j} differs"
 
 
+def halves_of(n):
+    """A decompose for ``fetch``: one real half of size n, and a record of
+    each call."""
+    calls = []
+
+    def decompose():
+        calls.append(n)
+        return ((np.zeros(n), np.zeros((n, n))),)
+
+    decompose.calls = calls
+    return decompose
+
+
+def entry_bytes(entry):
+    return sum(w.nbytes + v.nbytes for w, v in entry)
+
+
+def half_shapes(twoj):
+    """(w, V) shapes of the two real halves of a 2j block."""
+    return [((n,), (n, n)) for n in ((twoj + 2) // 2, (twoj + 1) // 2)]
+
+
 def forbid_eigh(monkeypatch):
     def refuse(g, j):
         raise AssertionError(f"eigh called for block j = {j}")
@@ -126,12 +149,18 @@ def test_a_key_seen_once_is_not_stored():
 
 def test_seen_once_set_is_bounded():
     cache = gates._EigenpairCache(max_bytes=2**20, max_seen=8)
+    decompose = halves_of(2)
     for k in range(50):
-        assert cache.lookup((k,)) == (None, False)
-    assert len(cache._seen) == 8
+        cache.fetch((k,), decompose)
+    assert len(cache) == 0 and len(cache._seen) == 8
     # the oldest keys were forgotten, the newest ones are remembered
-    assert cache.lookup((0,)) == (None, False)
-    assert cache.lookup((49,)) == (None, True)
+    cache.fetch((0,), decompose)
+    assert len(cache) == 0
+    cache.fetch((49,), decompose)
+    assert list(cache._entries) == [(49,)]
+    assert len(decompose.calls) == 52  # every miss decomposes, stored or not
+    cache.fetch((49,), decompose)
+    assert len(decompose.calls) == 52
 
 
 def test_two_azimuths_do_not_share_an_entry():
@@ -185,10 +214,31 @@ def test_cached_arrays_are_read_only():
     for _ in range(2):
         apply_gate(state, GateSpec("GMS", (0.3, 1.1)))
     assert len(CACHE) > 0
-    for w, v in CACHE._entries.values():
-        assert not w.flags.writeable and not v.flags.writeable
-        with pytest.raises(ValueError):
-            v[0, 0] = 0.0
+    for entry in CACHE._entries.values():
+        for w, v in entry:
+            assert not w.flags.writeable and not v.flags.writeable
+            with pytest.raises(ValueError):
+                v[0, 0] = 0.0
+
+
+def test_every_entry_is_a_tuple_of_read_only_halves():
+    # one complex half for a dense eigh, two real halves for a split, each
+    # half its own square eigenpairs, and the byte count their sum
+    state = mixed_state(7)
+    for spec in CACHED_SPECS * 2:
+        apply_gate(state, spec)
+    gens = [generator(spec, state.ledger)[0] for spec in CACHED_SPECS]
+    assert len(CACHE) > 0
+    for (twoj, *key), entry in CACHE._entries.items():
+        gen = next(g for g in gens if g.key == tuple(key))
+        split = gen.split or gen.flip
+        assert type(entry) is tuple and len(entry) == (2 if split else 1), key
+        assert sum(w.size for w, _ in entry) == twoj + 1
+        for w, v in entry:
+            assert w.ndim == 1 and v.shape == (w.size, w.size)
+            assert w.dtype == np.float64 and v.dtype == (np.float64 if split else np.complex128)
+            assert not w.flags.writeable and not v.flags.writeable
+    assert CACHE.nbytes == sum(map(entry_bytes, CACHE._entries.values()))
 
 
 def test_cached_bytes_stay_within_budget_at_n_400():
@@ -200,26 +250,28 @@ def test_cached_bytes_stay_within_budget_at_n_400():
         state = apply_gate(state, spec)
         assert 0 <= CACHE.nbytes <= gates.EIGENPAIR_CACHE_BYTES
     assert len(CACHE) == 1
-    assert CACHE.nbytes == sum(w.nbytes + v.nbytes for w, v in CACHE._entries.values())
+    assert CACHE.nbytes == sum(map(entry_bytes, CACHE._entries.values()))
 
 
 def test_an_entry_larger_than_the_budget_is_never_stored():
     cache = gates._EigenpairCache(max_bytes=1000, max_seen=8)
-    w, v = np.zeros(10), np.zeros((10, 10), dtype=complex)
-    assert cache.lookup(("big",)) == (None, False)
-    assert cache.lookup(("big",)) == (None, True)
-    cache.store(("big",), w, v)
+    big = ((np.zeros(10), np.zeros((10, 10), dtype=complex)),)
+    for _ in range(3):
+        assert cache.fetch(("big",), lambda: big) is big
     assert len(cache) == 0 and cache.nbytes == 0
 
 
 def test_lru_evicts_least_recently_used():
-    entry = 2 * np.zeros(4).nbytes
-    cache = gates._EigenpairCache(max_bytes=2 * entry, max_seen=8)
-    for key in ("a", "b"):
-        cache.store((key,), np.zeros(4), np.zeros(4))
-    cache.lookup(("a",))  # "b" is now the least recently used
-    cache.store(("c",), np.zeros(4), np.zeros(4))
+    decompose = halves_of(2)
+    cache = gates._EigenpairCache(max_bytes=2 * entry_bytes(decompose()), max_seen=8)
+    for key in ("a", "a", "b", "b"):  # each stored on its second request
+        cache.fetch((key,), decompose)
+    assert list(cache._entries) == [("a",), ("b",)]
+    cache.fetch(("a",), decompose)  # "b" is now the least recently used
+    for _ in range(2):
+        cache.fetch(("c",), decompose)
     assert list(cache._entries) == [("a",), ("c",)]
+    assert cache.nbytes == 2 * entry_bytes(decompose())
 
 
 def test_grad_findiff_threads_match_serial_bitwise():
@@ -253,24 +305,21 @@ def test_grad_findiff_threads_match_serial_bitwise():
         assert np.array_equal(serial, grad)
 
 
-def test_concurrent_lookups_and_stores_keep_the_byte_count():
+def test_concurrent_fetches_keep_the_byte_count():
     # more threads than cores and a short switch interval, so a lost update
     # of the byte count or the LRU order would show
     import sys
     import threading
 
-    entry = 2 * np.zeros(16).nbytes
-    cache = gates._EigenpairCache(max_bytes=10 * entry, max_seen=32)
+    decompose = halves_of(4)
+    cache = gates._EigenpairCache(max_bytes=10 * entry_bytes(decompose()), max_seen=32)
     errors = []
 
     def worker(seed):
         rng = np.random.default_rng(seed)
         try:
             for _ in range(2000):
-                key = (int(rng.integers(40)),)
-                hit, admit = cache.lookup(key)
-                if admit:
-                    cache.store(key, np.zeros(16), np.zeros(16))
+                cache.fetch((int(rng.integers(40)),), decompose)
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -287,7 +336,7 @@ def test_concurrent_lookups_and_stores_keep_the_byte_count():
     assert not any(t.is_alive() for t in threads)
     assert not errors
     assert 0 < len(cache) <= 10
-    assert cache.nbytes == sum(w.nbytes + v.nbytes for w, v in cache._entries.values())
+    assert cache.nbytes == sum(map(entry_bytes, cache._entries.values()))
     assert len(cache._seen) <= 32
 
 
@@ -330,8 +379,10 @@ def test_quadratic_kinds_share_one_entry_per_block(monkeypatch):
     for spec in specs:
         apply_gate(state, spec)
     assert sorted(CACHE._entries) == sorted((int(2 * j),) for j in state.active_js)
-    for w, v in CACHE._entries.values():
-        assert w.dtype == v.dtype == np.float64
+    for (twoj,), entry in CACHE._entries.items():
+        assert [(w.shape, v.shape) for w, v in entry] == half_shapes(twoj)
+        for w, v in entry:
+            assert w.dtype == v.dtype == np.float64
     with monkeypatch.context() as patch:
         forbid_eigh(patch)
         hits = [apply_gate(state, spec) for spec in specs]
@@ -349,10 +400,12 @@ def test_large_block_keeps_one_half_size_entry(monkeypatch):
     for _ in range(2):
         exponentiate(gen, theta)
     assert list(CACHE._entries) == [(1000,)]
-    w, v = CACHE._entries[(1000,)]
-    assert w.dtype == v.dtype == np.float64
-    assert w.shape == (1001,) and v.shape == (1001, 501)
-    assert np.array_equal(w, np.sort(np.square(j - np.arange(1001))))  # exactly the m^2
+    entry = CACHE._entries[(1000,)]
+    assert [(w.shape, v.shape) for w, v in entry] == half_shapes(1000)
+    m2 = np.sort(np.square(j - np.arange(1001)))  # exactly the m^2, dealt to the halves
+    for p, (w, v) in enumerate(entry):
+        assert w.dtype == v.dtype == np.float64
+        assert np.array_equal(w, m2[p::2])
     gen, theta = generator(GateSpec("GMS", (-1.1, 2.5)), ledger, (j,))
     with monkeypatch.context() as patch:
         forbid_eigh(patch)
@@ -435,9 +488,10 @@ def test_parity_split_keeps_one_real_entry_per_block(spec, monkeypatch):
     assert sorted(CACHE._entries) == sorted(
         (int(2 * j),) + generator(spec, state.ledger)[0].key for j in state.active_js
     )
-    for (twoj, *_), (w, v) in CACHE._entries.items():
-        assert w.dtype == v.dtype == np.float64
-        assert w.shape == (twoj + 1,) and v.shape == (twoj + 1, twoj // 2 + 1)
+    for (twoj, *_), entry in CACHE._entries.items():
+        assert [(w.shape, v.shape) for w, v in entry] == half_shapes(twoj)
+        for w, v in entry:
+            assert w.dtype == v.dtype == np.float64
     forbid_eigh(monkeypatch)
     assert_states_equal(cold, apply_gate(state, spec))
 
@@ -580,9 +634,10 @@ def test_flip_split_keeps_one_real_entry_per_block(spec, monkeypatch):
     assert sorted(CACHE._entries) == sorted(
         (int(2 * j),) + generator(spec, state.ledger)[0].key for j in state.active_js
     )
-    for (twoj, *_), (w, v) in CACHE._entries.items():
-        assert w.dtype == v.dtype == np.float64
-        assert w.shape == (twoj + 1,) and v.shape == (twoj + 1, twoj // 2 + 1)
+    for (twoj, *_), entry in CACHE._entries.items():
+        assert [(w.shape, v.shape) for w, v in entry] == half_shapes(twoj)
+        for w, v in entry:
+            assert w.dtype == v.dtype == np.float64
     forbid_eigh(monkeypatch)
     assert_states_equal(cold, apply_gate(state, spec))
     assert np.array_equal(cold_ket._ket[1], apply_gate(ket, spec)._ket[1])
@@ -622,9 +677,10 @@ def test_flip_split_at_2j_1000(monkeypatch):
     apply_gate(state, spec)
     key = (1000,) + gen.key
     assert list(CACHE._entries) == [key]
-    w_half, v_half = CACHE._entries[key]
-    assert w_half.dtype == v_half.dtype == np.float64
-    assert w_half.shape == (1001,) and v_half.shape == (1001, 501)
+    entry = CACHE._entries[key]
+    assert [(w_half.shape, v_half.shape) for w_half, v_half in entry] == half_shapes(1000)
+    for w_half, v_half in entry:
+        assert w_half.dtype == v_half.dtype == np.float64
     forbid_eigh(monkeypatch)
     tracemalloc.start()
     try:

@@ -361,6 +361,27 @@ def test_overflowing_phase_raises_at_its_gate(gates):
             apply_circuit(Circuit(4, gates), ground_state(4))
 
 
+@pytest.mark.parametrize("spec, angle", [
+    (GateSpec("R_PLUS", (1e300,)), 1e300),
+    (GateSpec("R_MINUS", (1e300,)), 1e300),
+    (GateSpec("TAT", (1e300,), axes="z,plus"), 1e300),
+], ids=["R_PLUS", "R_MINUS", "TAT"])
+def test_exponentiate_raises_on_a_non_finite_k(spec, angle):
+    # the ladder series overflowed with a RuntimeWarning, and expm gave NaN
+    # blocks with none; apply_gate raises NumericError for the same gates
+    gen, _ = generator(spec, build_ledger(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="not finite in block j = 2.0"):
+            exponentiate(gen, angle)
+
+
+@pytest.mark.parametrize("n", [0, -2, 2.0, True])
+def test_circuit_needs_a_particle_count(n):
+    with pytest.raises(DomainError, match="particle"):
+        Circuit(n, ())
+
+
 def test_phase_argument_below_overflow_is_formed():
     # N/Lambda = 4e300: angle^2 |w|^2 overflows, yet every angle * w_k is
     # finite, so the phases are formed, as the bare expression gives them

@@ -114,11 +114,14 @@ class TestProbabilities:
 
     def test_nan_ket_or_block_raises(self):
         # a NaN probability must fail the sign check, not pass through it;
-        # no gate makes this ket, since an overflowing phase fails at its gate
+        # no gate makes this ket, since an overflowing phase fails at its gate,
+        # and the public constructor rejects the block, so both are made
+        # through the engine's unchecked constructors
         psi = css_state(4, 0.3, 0.0)._ket[1].copy()
         psi[[0, -1]] = np.nan
         ket = CollectiveState._pure(build_ledger(4), 2.0, psi)
-        block = CollectiveState(build_ledger(1), {0.5: np.array([[np.nan, 0], [0, 1]])})
+        nan_block = np.array([[np.nan, 0], [0, 1]], dtype=complex)
+        block = CollectiveState._mixed(build_ledger(1), {0.5: nan_block})
         assert ket._ket is not None and block._ket is None
         for state in (ket, block):
             with pytest.raises(NumericError, match="NaN probability"):
@@ -149,6 +152,18 @@ class TestSample:
     def test_shots_domain(self):
         with pytest.raises(DomainError):
             sample(ground_state(2), 0, seed=0)
+
+    @pytest.mark.parametrize("shots, seed, message", [
+        (2.5, 0, "shots must be an integer, got 2.5"),
+        (True, 0, "shots must be an integer, got True"),
+        (5, -1, "seed must be >= 0, got -1"),
+        (5, 1.5, "seed must be an integer, got 1.5"),
+    ])
+    def test_shots_and_seed_must_be_integers(self, shots, seed, message):
+        # NumPy's TypeError or ValueError, before
+        with pytest.raises(DomainError, match=message):
+            sample(ground_state(2), shots, seed)
+        assert sample(ground_state(2), np.int64(5), np.int64(1)).shots == 5
 
 
 class TestExpval:
@@ -339,8 +354,10 @@ class TestHusimi:
             husimi_grid(css_state(6, 1.0, 0.3), thetas, phis)
 
     def test_nan_state_raises(self):
-        # a NaN grid value must fail the range checks, not pass through them
-        state = CollectiveState(build_ledger(1), {0.5: np.array([[np.nan, 0], [0, 1]])})
+        # a NaN grid value must fail the range checks, not pass through them;
+        # the public constructor rejects this block, the engine's does not
+        nan_block = np.array([[np.nan, 0], [0, 1]], dtype=complex)
+        state = CollectiveState._mixed(build_ledger(1), {0.5: nan_block})
         with pytest.raises(NumericError):
             husimi_grid(state, np.array([1.0]), np.array([0.0]))
 

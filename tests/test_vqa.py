@@ -56,6 +56,11 @@ class TestTntCouplingValue:
         with pytest.raises(DomainError):
             tnt_coupling_value(10, 0.1, 0.1, "figure")
 
+    def test_ansatz_rejects_an_unknown_reading(self):
+        # at construction, not at the first cost
+        with pytest.raises(DomainError, match="tnt coupling reading"):
+            Ansatz(10, "nope")
+
 
 class TestCost:
     def test_zero_angles_cost_one(self):
@@ -89,6 +94,12 @@ class TestGradient:
     def test_step_domain(self):
         with pytest.raises(DomainError):
             grad_findiff(lambda t: 0.0, np.zeros(2), 0.0)
+
+    @pytest.mark.parametrize("eps_fd", [np.nan, np.inf, -np.inf])
+    def test_step_must_be_finite(self, eps_fd):
+        # OptimizerConfig's rule: a NaN step let through gives a NaN gradient
+        with pytest.raises(DomainError, match="eps_fd must be finite and > 0"):
+            grad_findiff(lambda t: 0.0, np.zeros(2), eps_fd)
 
     def test_quadratic_convergence_order(self):
         # central differences: halving eps shrinks the truncation error 4x;
@@ -438,6 +449,19 @@ class TestFit:
         assert fields == set(seen) == {
             "kind", "learning_rate", "max_iter", "tolerance", "eps_fd"
         }
+
+    @pytest.mark.parametrize("eps_fd", [0.0, -1e-3, np.nan, np.inf])
+    def test_metric_step_domain(self, eps_fd):
+        # 0 divided by zero, with a RuntimeWarning, before any check
+        with pytest.raises(DomainError, match="eps_fd must be finite and > 0"):
+            fubini_study_metric(np.zeros(3), Ansatz(4), eps_fd)
+
+    @pytest.mark.parametrize("max_iter", [1.5, 2.0, True, "3"])
+    def test_config_max_iter_must_be_an_integer(self, max_iter):
+        # 1.5 was accepted and fit() ended in range's TypeError
+        with pytest.raises(DomainError, match="max_iter must be an integer"):
+            OptimizerConfig("gd", 0.1, max_iter=max_iter)
+        assert OptimizerConfig("gd", 0.1, max_iter=np.int64(2)).max_iter == 2
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
