@@ -7,8 +7,7 @@ import time
 
 import numpy as np
 
-from .dicke import ground_state
-from .errors import DomainError
+from .dicke import _integer, ground_state
 from .gates import GateSpec, apply_gate
 
 __all__ = ["rotation_layer", "layer_seconds"]
@@ -23,10 +22,7 @@ def rotation_layer(noise: float | None = None) -> tuple[GateSpec, ...]:
 def layer_seconds(n: int, noise: float | None, layers: int, repeats: int) -> float:
     """Best wall time, over ``repeats`` runs from the N-particle ground state,
     of ``layers`` rotation layers."""
-    if layers < 1:
-        raise DomainError(f"layers must be >= 1, got {layers}")
-    if repeats < 1:
-        raise DomainError(f"repeats must be >= 1, got {repeats}")
+    layers, repeats = _integer(layers, "layers", 1), _integer(repeats, "repeats", 1)
     specs = rotation_layer(noise)
     best = float("inf")
     for _ in range(repeats):

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import layer_seconds
-from .dicke import ground_state
+from .dicke import _integer, ground_state
 from .errors import (
     CircuitParseError,
     DegenerateFrameError,
@@ -103,13 +103,8 @@ def _check_finite(flags: dict[str, float | None]) -> None:
             raise DomainError(f"{flag} must be finite, got {value}")
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise DomainError(f"--seed must be >= 0, got {seed}")
-
-
 def cmd_run(args) -> int:
-    _check_seed(args.seed)
+    _integer(args.seed, "--seed", 0)
     circuit = _load_circuit(args.circuit)
     n = circuit.n_particles
     if args.oracle and n > FULL_SPACE_CAP:
@@ -163,8 +158,7 @@ def _squeeze_twist(gate: str, n: int, theta: float, phi: float,
 
 
 def cmd_squeeze(args) -> int:
-    if args.steps < 1:
-        raise DomainError("--steps must be >= 1")
+    _integer(args.steps, "--steps", 1)
     _check_finite({"--theta-min": args.theta_min, "--theta-max": args.theta_max,
                    "--phi": args.phi, "--coupling": args.coupling})
     start = ground_state(args.n)
@@ -191,7 +185,7 @@ def cmd_squeeze(args) -> int:
 
 
 def cmd_vqa(args) -> int:
-    _check_seed(args.seed)
+    _integer(args.seed, "--seed", 0)
     ansatz = Ansatz(args.n, args.tnt_coupling)
     config = OptimizerConfig(
         kind=args.optimizer,
@@ -222,8 +216,7 @@ def cmd_vqa(args) -> int:
 
 
 def cmd_qpt(args) -> int:
-    if args.steps < 2:
-        raise DomainError("--steps must be >= 2")
+    _integer(args.steps, "--steps", 2)
     _check_finite({"--lambda": args.lambda_param, "--r-min": args.r_min, "--r-max": args.r_max})
     if not args.r_min < args.r_max:
         raise DomainError("--r-min must be below --r-max")
@@ -248,10 +241,8 @@ def cmd_qpt(args) -> int:
 
 
 def cmd_husimi(args) -> int:
-    if args.theta_steps < 1:
-        raise DomainError("--theta-steps must be >= 1")
-    if args.phi_steps < 1:
-        raise DomainError("--phi-steps must be >= 1")
+    _integer(args.theta_steps, "--theta-steps", 1)
+    _integer(args.phi_steps, "--phi-steps", 1)
     circuit = _load_circuit(args.circuit)
     state = apply_circuit(circuit, ground_state(circuit.n_particles))
     thetas = np.linspace(0.0, np.pi, args.theta_steps)
@@ -262,12 +253,10 @@ def cmd_husimi(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.n_max < 10:
-        raise DomainError("--n-max must be >= 10")
+    _integer(args.n_max, "--n-max", 10)
     if not 1 <= args.n_min < args.n_max:
         raise DomainError("need 1 <= --n-min < --n-max")
-    if args.points < 1:
-        raise DomainError("--points must be >= 1")
+    _integer(args.points, "--points", 1)
     if not 0.0 <= args.noise <= 1.0:
         raise DomainError(f"--noise must lie in [0, 1], got {args.noise}")
     noise = args.noise if args.noise > 0 else None

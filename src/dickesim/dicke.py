@@ -80,6 +80,19 @@ def _integer(value, name: str, least: int) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """value as a float; anything but an int, a float or a NumPy integer or
+    floating scalar (a bool or a string among them) raises DomainError.  An
+    integer too large for a float reads as the infinity it rounds toward, so
+    the caller's finiteness rule rejects it; the caller checks the range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf
+
+
 def _particle_count(n_particles: int) -> int:
     """N as an int; a bool, a non-integer or N < 1 raises DomainError."""
     if isinstance(n_particles, bool) or not isinstance(n_particles, (int, np.integer)):

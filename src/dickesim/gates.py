@@ -122,6 +122,7 @@ from .dicke import (
     BlockLedger,
     CollectiveState,
     _particle_count,
+    _real,
     _spinor_power,
     _twoj,
     spin_bands,
@@ -173,15 +174,6 @@ def _parse_axes(text: str) -> tuple[str, ...]:
     return tuple(tokens)
 
 
-def _as_float(value) -> float:
-    """float(value), with an integer too large for a float read as the
-    infinity it rounds toward, so the finiteness rules below reject it."""
-    try:
-        return float(value)
-    except OverflowError:
-        return np.inf if value > 0 else -np.inf
-
-
 @dataclass(frozen=True)
 class GateSpec:
     """One catalog gate: kind, parameters, optional axes and noise strength."""
@@ -196,7 +188,7 @@ class GateSpec:
         if kind not in GATE_KINDS:
             raise DomainError(f"unknown gate kind {self.kind!r}")
         n_params, axes_arity = GATE_KINDS[kind]
-        params = tuple(_as_float(p) for p in self.params)
+        params = tuple(_real(p, f"{kind} parameter {i + 1}") for i, p in enumerate(self.params))
         if len(params) != n_params:
             raise DomainError(f"{kind} takes {n_params} parameter(s), got {len(params)}")
         for i, p in enumerate(params):  # an infinite TNT coupling is N/Lambda = 0
@@ -224,7 +216,7 @@ class GateSpec:
             raise DomainError("TNT coupling must be nonzero")
         noise = self.noise
         if noise is not None:
-            noise = _as_float(noise)
+            noise = _real(noise, f"{kind} noise")
             if not 0.0 <= noise <= 1.0:
                 raise DomainError(f"{kind} noise must lie in [0, 1], got {noise}")
         object.__setattr__(self, "kind", kind)
@@ -734,10 +726,6 @@ def apply_circuit(circuit: Circuit, initial: CollectiveState) -> CollectiveState
     return state
 
 
-def _is_number(value) -> bool:  # a JSON number: int or float, not a bool
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def circuit_from_json(text: str) -> Circuit:
     """Parse {"n": int, "gates": [{"kind", "params", "axes"?, "noise"?}]}."""
     try:
@@ -761,17 +749,13 @@ def circuit_from_json(text: str) -> Circuit:
     for pos, entry in enumerate(gates, start=1):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise CircuitParseError(f'gate #{pos} must be an object with a "kind"')
-        params, axes, noise = entry.get("params", []), entry.get("axes"), entry.get("noise")
-        if not isinstance(params, list) or not all(_is_number(p) for p in params):
-            raise CircuitParseError(f'gate #{pos}: "params" must be a list of numbers')
+        params, axes = entry.get("params", []), entry.get("axes")
+        if not isinstance(params, list):
+            raise CircuitParseError(f'gate #{pos}: "params" must be a list, got {params!r}')
         if axes is not None and not isinstance(axes, str):
             raise CircuitParseError(f'gate #{pos}: "axes" must be a string, got {axes!r}')
-        if noise is not None and not _is_number(noise):
-            raise CircuitParseError(f'gate #{pos}: "noise" must be a number, got {noise!r}')
-        try:
-            specs.append(
-                GateSpec(kind=str(entry["kind"]), params=tuple(params), axes=axes, noise=noise)
-            )
+        try:  # the values of params and noise are GateSpec's to check
+            specs.append(GateSpec(str(entry["kind"]), tuple(params), axes, entry.get("noise")))
         except DomainError as exc:
             raise CircuitParseError(f"gate #{pos}: {exc}") from None
     return Circuit(n_particles=n, instructions=tuple(specs))

@@ -88,11 +88,14 @@ def probabilities(state: CollectiveState) -> ProbTable:
 
 def sample(state: CollectiveState, shots: int, seed: int) -> ShotCounts:
     """Inverse-CDF sampling over the probability table, seeded and
-    deterministic (PCG64); shots >= 1 and seed >= 0 are integers."""
+    deterministic (PCG64); shots >= 1 and seed >= 0 are integers.  A state
+    with no probability mass (or an infinite one) raises NumericError."""
     shots, seed = _integer(shots, "shots", 1), _integer(seed, "seed", 0)
     table = probabilities(state)
     p = np.array([row[2] for row in table.entries])
     cdf = np.cumsum(p)
+    if not 0.0 < cdf[-1] < np.inf:  # written so that a NaN fails it too
+        raise NumericError(f"cannot sample: total probability is {cdf[-1]}")
     cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
     idx = np.searchsorted(cdf, rng.random(shots), side="right")

@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dicke import CollectiveState
+from .dicke import CollectiveState, _real
 from .errors import DomainError, NumericError
 
 __all__ = ["rho_prime", "depolarize"]
@@ -129,7 +129,7 @@ def rho_prime(state: CollectiveState) -> dict[float, np.ndarray]:
 def depolarize(state: CollectiveState, epsilon: float) -> CollectiveState:
     """(1 - eps) rho + eps * rho'/tr(rho') in one pass over the blocks (see
     the module docstring); may activate neighboring blocks."""
-    eps = float(epsilon)
+    eps = _real(epsilon, "depolarizing probability")
     if not 0.0 <= eps <= 1.0:
         raise DomainError(f"depolarizing probability must lie in [0, 1], got {epsilon}")
     if eps == 0.0:

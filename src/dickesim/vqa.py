@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dicke import CollectiveState, _integer, build_ledger, ground_state
+from .dicke import CollectiveState, _integer, _real, build_ledger, ground_state
 from .errors import DegenerateFrameError, DomainError, NumericError, UnsupportedConfigError
 from .gates import Circuit, GateSpec, apply_circuit, apply_gate
 from .squeezing import get_xi_2_S
@@ -141,7 +141,7 @@ def _probe_points(theta: np.ndarray, eps_fd: float) -> list[np.ndarray]:
 
 
 def _check_step(eps_fd: float) -> None:
-    if not 0 < eps_fd < np.inf:
+    if not 0 < _real(eps_fd, "eps_fd") < np.inf:
         raise DomainError(f"eps_fd must be finite and > 0, got {eps_fd}")
 
 
@@ -323,12 +323,12 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in ("gd", "adam", "qng"):
             raise DomainError(f"unknown optimizer kind {self.kind!r}")
-        if not 0 < self.learning_rate < np.inf:
+        if not 0 < _real(self.learning_rate, "learning_rate") < np.inf:
             raise DomainError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}"
             )
         _integer(self.max_iter, "max_iter", 1)
-        if not self.tolerance >= 0:
+        if not _real(self.tolerance, "tolerance") >= 0:
             raise DomainError(f"tolerance must be >= 0, got {self.tolerance}")
         _check_step(self.eps_fd)
 
@@ -359,12 +359,15 @@ def fit(
     run from scratch, so the histories are those of ``cost``,
     ``grad_findiff`` and ``fubini_study_metric`` bit for bit.
 
-    A non-finite ``initial`` raises DomainError before any circuit runs.
+    A non-finite ``initial``, or a ``seed`` that is not an integer >= 0,
+    raises DomainError before any circuit runs.
 
     A degenerate mean-spin frame mid-run (DegenerateFrameError) stops the
     loop and returns the partial history with converged=False; any other
     NumericError, such as a step whose phases overflow, propagates.
     """
+    if seed is not None:
+        seed = _integer(seed, "seed", 0)
     if initial is None:
         rng = np.random.default_rng(seed)
         theta = rng.uniform(-0.1, 0.1, ansatz.n_params)

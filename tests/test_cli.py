@@ -526,7 +526,7 @@ class TestHusimi:
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_bad_step_count_exit_2(self, circuit_file, capsys, flag, count):
         assert main(["husimi", circuit_file, flag, count]) == 2
-        assert capsys.readouterr().err == f"error: {flag} must be >= 1\n"
+        assert capsys.readouterr().err == f"error: {flag} must be >= 1, got {count}\n"
 
 
 class TestBench:
@@ -547,7 +547,7 @@ class TestBench:
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_bad_points_exit_2(self, capsys, points):
         assert main(["bench", "--points", points]) == 2
-        assert capsys.readouterr().err == "error: --points must be >= 1\n"
+        assert capsys.readouterr().err == f"error: --points must be >= 1, got {points}\n"
 
     @pytest.mark.parametrize("noise", ["-0.5", "1.5", "nan", "inf"])
     def test_noise_outside_unit_interval_exit_2(self, capsys, noise):

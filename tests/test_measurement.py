@@ -165,6 +165,12 @@ class TestSample:
             sample(ground_state(2), shots, seed)
         assert sample(ground_state(2), np.int64(5), np.int64(1)).shots == 5
 
+    def test_no_probability_mass_raises(self):
+        # every shot used to land on the first row, with NumPy's divide warning
+        empty = CollectiveState(build_ledger(2), {1.0: np.zeros((3, 3))})
+        with pytest.raises(NumericError, match="total probability is 0.0"):
+            sample(empty, 5, 0)
+
 
 class TestExpval:
     def test_ground_state_values(self):
