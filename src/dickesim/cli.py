@@ -32,7 +32,7 @@ from .errors import (
 )
 from .gates import Circuit, GateSpec, apply_circuit, apply_gate, circuit_from_json
 from .measurement import (
-    _fmt,
+    _rows_csv,
     expval,
     husimi_csv,
     husimi_grid,
@@ -89,13 +89,6 @@ def _load_circuit(path: str) -> Circuit:
     return circuit_from_json(text)
 
 
-def _rows_csv(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def _check_finite(flags: dict[str, float | None]) -> None:
     """Reject a NaN or infinite float flag, by name, before any work."""
     for flag, value in flags.items():
@@ -114,17 +107,15 @@ def cmd_run(args) -> int:
     state = apply_circuit(circuit, ground_state(n))
     table = probabilities(state)
     prob_text = prob_table_csv(table)
-    counts_text = None
-    if args.shots is not None:
-        counts_text = shot_counts_csv(sample(state, args.shots, args.seed))
-    if args.out and args.out != "-":
+    if args.shots is None:
         _emit(prob_text, args.out)
-        if counts_text is not None:
-            _emit(counts_text, args.out + ".counts.csv")
     else:
-        sys.stdout.write(prob_text)
-        if counts_text is not None:
-            sys.stdout.write("\n" + counts_text)
+        counts_text = shot_counts_csv(sample(state, args.shots, args.seed))
+        if args.out in (None, "-"):  # both tables on stdout, a blank line apart
+            _emit(prob_text + "\n" + counts_text, args.out)
+        else:
+            _emit(prob_text, args.out)
+            _emit(counts_text, args.out + ".counts.csv")
     if args.oracle:
         reference = extract_collective(full_run(circuit), n)
         mine = table.as_dict()

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, log
+from math import factorial, inf, log
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -63,11 +63,12 @@ __all__ = [
 
 
 def _twoj(j: float) -> int:
-    """Validate that j is a half-integer and return 2j as an exact int."""
-    twoj = 2.0 * j
-    if twoj < 0 or twoj != round(twoj):
+    """Validate that j, a number (``_real``), is a finite nonnegative
+    half-integer and return 2j as an exact int."""
+    twoj = 2.0 * _real(j, "j")
+    if not (0.0 <= twoj < inf and twoj.is_integer()):  # a NaN fails the first test
         raise DomainError(f"j = {j} is not a nonnegative half-integer")
-    return int(round(twoj))
+    return int(twoj)
 
 
 def _integer(value, name: str, least: int) -> int:
@@ -93,13 +94,15 @@ def _real(value, name: str) -> float:
         return np.inf if value > 0 else -np.inf
 
 
-def _particle_count(n_particles: int) -> int:
-    """N as an int; a bool, a non-integer or N < 1 raises DomainError."""
-    if isinstance(n_particles, bool) or not isinstance(n_particles, (int, np.integer)):
-        raise DomainError(f"particle count must be an integer, got {n_particles!r}")
-    if n_particles < 1:
-        raise DomainError(f"need at least one particle, got {n_particles}")
-    return int(n_particles)
+def _reals(values, name: str) -> np.ndarray:
+    """values, a number or a sequence (an array among them) of numbers, as a
+    1-D float array, each entry read by ``_real``; an array is read as its
+    Python scalars, so a bool array is bools."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if isinstance(values, str) or not isinstance(values, Sequence):
+        values = [values]
+    return np.array([_real(v, name) for v in values], dtype=float)
 
 
 def degeneracy(n_particles: int, j: float) -> int:
@@ -109,7 +112,7 @@ def degeneracy(n_particles: int, j: float) -> int:
     the factorial ratio overflows 64-bit floats at modest N, so no
     floating-point intermediate is ever formed.
     """
-    n = _particle_count(n_particles)
+    n = _integer(n_particles, "particle count", 1)
     twoj = _twoj(j)
     if twoj > n or (n - twoj) % 2 != 0:
         raise DomainError(f"j = {j} is not a valid block label for N = {n}")
@@ -162,7 +165,7 @@ class BlockLedger:
 
     def block_index(self, j: float) -> int:
         """Position of block j in the descending-j ordering."""
-        idx = int(round(self.j_max - j))
+        idx = (self.n_particles - _twoj(j)) // 2
         if not 0 <= idx < len(self.blocks) or self.blocks[idx].j != j:
             raise DomainError(f"no block j = {j} for N = {self.n_particles}")
         return idx
@@ -173,15 +176,16 @@ class BlockLedger:
 
     def m_values(self, j: float) -> np.ndarray:
         """m labels of block j in storage (descending) order."""
-        return j - np.arange(self.blocks[self.block_index(j)].dim)
+        return spin_bands(self.blocks[self.block_index(j)].dim - 1)["z"].diags[0]
 
 
-# typed: untyped, 4.0 or True would hit the entry of an equal np.int64 count
-# and skip the check
-@lru_cache(maxsize=64, typed=True)
 def build_ledger(n_particles: int) -> BlockLedger:
     """Build the block ledger for N particles (an integer N >= 1)."""
-    n = _particle_count(n_particles)
+    return _ledger(_integer(n_particles, "particle count", 1))
+
+
+@lru_cache(maxsize=64)
+def _ledger(n: int) -> BlockLedger:
     blocks = []
     offset = 0
     for twoj in range(n, n % 2 - 1, -2):
@@ -383,7 +387,7 @@ def spin_bands(twoj: int) -> Mapping[str, Banded]:
     entry holds 72 (2j+1) bytes of arrays; 1024 cover every block to N = 2047.
     """
     j = twoj / 2.0
-    m = j - np.arange(twoj + 1)
+    m = j - np.arange(twoj + 1)  # the one home of the m labels
     up = np.zeros(twoj + 1)  # J_+[r, r+1], from the source m of row r + 1
     up[:-1] = np.sqrt((j - m[1:]) * (j + m[1:] + 1))
     low = np.roll(up, 1)  # J_-[r, r-1] = J_+[r-1, r]
@@ -433,33 +437,27 @@ def op_jy(ledger: BlockLedger) -> Mapping[float, np.ndarray]:
     return _collective(ledger, "y")
 
 
-def _pure_top_block_state(ledger: BlockLedger, amplitudes: np.ndarray) -> CollectiveState:
-    """The pure state ``amplitudes`` of the j = N/2 block, held as its ket."""
-    return CollectiveState._pure(ledger, ledger.j_max, amplitudes)
+def _top_block_ket(n_particles: int, up: float, down: float) -> CollectiveState:
+    """up |N/2, N/2> + down |N/2, -N/2>, held as its ket."""
+    ledger = build_ledger(n_particles)  # rejects N < 1 before any allocation
+    amp = np.zeros(ledger.n_particles + 1)
+    amp[0], amp[-1] = up, down
+    return CollectiveState._pure(ledger, ledger.j_max, amp)
 
 
 def ground_state(n_particles: int) -> CollectiveState:
     """|N/2, -N/2>: all particles down; bottom-right of the j = N/2 block."""
-    ledger = build_ledger(n_particles)  # rejects N < 1 before any allocation
-    amp = np.zeros(ledger.n_particles + 1)
-    amp[-1] = 1.0
-    return _pure_top_block_state(ledger, amp)
+    return _top_block_ket(n_particles, 0.0, 1.0)
 
 
 def excited_state(n_particles: int) -> CollectiveState:
     """|N/2, +N/2>: all particles up."""
-    ledger = build_ledger(n_particles)
-    amp = np.zeros(ledger.n_particles + 1)
-    amp[0] = 1.0
-    return _pure_top_block_state(ledger, amp)
+    return _top_block_ket(n_particles, 1.0, 0.0)
 
 
 def ghz_state(n_particles: int) -> CollectiveState:
     """(|N/2, N/2> + |N/2, -N/2>) / sqrt(2)."""
-    ledger = build_ledger(n_particles)
-    amp = np.zeros(ledger.n_particles + 1)
-    amp[0] = amp[-1] = 1.0 / np.sqrt(2.0)
-    return _pure_top_block_state(ledger, amp)
+    return _top_block_ket(n_particles, 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
 
 
 @lru_cache(maxsize=1024)
@@ -552,9 +550,10 @@ def css_state(n_particles: int, theta: float, phi: float) -> CollectiveState:
     ``excited_state(N)`` and RN(theta - pi, -phi) applied to
     ``ground_state(N)``; ``apply_gate`` takes both rotations in this closed
     form (see ``gates``)."""
+    theta, phi = _real(theta, "theta"), _real(phi, "phi")
     if not 0.0 <= theta <= np.pi:
         raise DomainError(f"theta must be in [0, pi], got {theta}")
     if not 0.0 <= phi < 2.0 * np.pi:
         raise DomainError(f"phi must be in [0, 2*pi), got {phi}")
     ledger = build_ledger(n_particles)
-    return _pure_top_block_state(ledger, css_amplitudes(ledger.n_particles, theta, phi))
+    return CollectiveState._pure(ledger, ledger.j_max, css_amplitudes(ledger.n_particles, theta, phi))

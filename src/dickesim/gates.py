@@ -121,7 +121,7 @@ from .dicke import (
     Banded,
     BlockLedger,
     CollectiveState,
-    _particle_count,
+    _integer,
     _real,
     _spinor_power,
     _twoj,
@@ -184,10 +184,14 @@ class GateSpec:
     noise: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise DomainError(f"gate kind must be a string, got {self.kind!r}")
         kind = self.kind.upper()
         if kind not in GATE_KINDS:
             raise DomainError(f"unknown gate kind {self.kind!r}")
         n_params, axes_arity = GATE_KINDS[kind]
+        if not isinstance(self.params, (tuple, list)):
+            raise DomainError(f"{kind} params must be a tuple or a list, got {self.params!r}")
         params = tuple(_real(p, f"{kind} parameter {i + 1}") for i, p in enumerate(self.params))
         if len(params) != n_params:
             raise DomainError(f"{kind} takes {n_params} parameter(s), got {len(params)}")
@@ -233,8 +237,11 @@ class Circuit:
     instructions: tuple[GateSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "n_particles", _particle_count(self.n_particles))
+        object.__setattr__(self, "n_particles", _integer(self.n_particles, "particle count", 1))
         object.__setattr__(self, "instructions", tuple(self.instructions))
+        for pos, spec in enumerate(self.instructions, start=1):
+            if not isinstance(spec, GateSpec):
+                raise DomainError(f"circuit instruction #{pos} must be a GateSpec, got {spec!r}")
 
 
 def _sq(op):
@@ -533,7 +540,7 @@ def _eigenpairs(gen: BlockGenerator, j: float) -> tuple[tuple[np.ndarray, np.nda
             return _parity_eigh(gen.bands(j), j)
         # R_j = J_x^2, whose halves' spectra are exactly the m^2: the sorted
         # m^2 at even positions for half 0, at odd ones for half 1
-        m2 = np.sort(np.square(j - np.arange(twoj + 1)))
+        m2 = np.sort(np.square(spin_bands(twoj)["z"].diags[0]))
         halves = _parity_eigh(_sq(spin_bands(twoj)["x"]), j)
         return tuple((m2[p::2], v) for p, (_, v) in enumerate(halves))
 
@@ -588,7 +595,8 @@ def _split_apply(
     x2 = x.reshape(d, -1)  # a view: x is C-contiguous
     phases = [_phases(angle, w, j)[:, None] for w, _ in halves]
     if gen.azimuth:
-        gauge = _phases(gen.azimuth, j - np.arange(d), j)[:, None]  # D = diag(e^{-i alpha m})
+        # D = diag(e^{-i alpha m})
+        gauge = _phases(gen.azimuth, spin_bands(d - 1)["z"].diags[0], j)[:, None]
         np.multiply(gauge.conj(), x2, out=x2)
     if gen.flip:  # half 0 on the top rows and the middle, half 1 on the bottom rows upward
         _butterfly(x2)
@@ -741,24 +749,23 @@ def circuit_from_json(text: str) -> Circuit:
         gates = doc["gates"]
     except KeyError as exc:
         raise CircuitParseError(f"missing required key {exc.args[0]!r}") from None
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise CircuitParseError(f'"n" must be a positive integer, got {n!r}')
     if not isinstance(gates, list):
         raise CircuitParseError('"gates" must be a list')
     specs = []
     for pos, entry in enumerate(gates, start=1):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise CircuitParseError(f'gate #{pos} must be an object with a "kind"')
-        params, axes = entry.get("params", []), entry.get("axes")
-        if not isinstance(params, list):
-            raise CircuitParseError(f'gate #{pos}: "params" must be a list, got {params!r}')
+        axes = entry.get("axes")
         if axes is not None and not isinstance(axes, str):
             raise CircuitParseError(f'gate #{pos}: "axes" must be a string, got {axes!r}')
-        try:  # the values of params and noise are GateSpec's to check
-            specs.append(GateSpec(str(entry["kind"]), tuple(params), axes, entry.get("noise")))
+        try:  # kind, params and noise are GateSpec's to check
+            specs.append(GateSpec(entry["kind"], entry.get("params", []), axes, entry.get("noise")))
         except DomainError as exc:
             raise CircuitParseError(f"gate #{pos}: {exc}") from None
-    return Circuit(n_particles=n, instructions=tuple(specs))
+    try:  # and "n" is Circuit's
+        return Circuit(n_particles=n, instructions=tuple(specs))
+    except DomainError as exc:
+        raise CircuitParseError(f'"n": {exc}') from None
 
 
 def circuit_to_json(circuit: Circuit) -> str:

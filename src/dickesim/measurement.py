@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import CollectiveState, _coherent_rows, _integer, _log_moduli, spin_bands
+from .dicke import CollectiveState, _coherent_rows, _integer, _log_moduli, _reals, spin_bands
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -201,12 +201,9 @@ def _block_moments(state: CollectiveState) -> tuple[np.ndarray, np.ndarray]:
 def expval(state: CollectiveState, observable: str) -> complex | float:
     """<O> = sum_j tr(rho_j O_j) from the closed-form moments; real for
     Hermitian observables, whose imaginary residue above 1e-8 raises."""
-    try:
-        axes = OBSERVABLES[observable]
-    except KeyError:
-        raise DomainError(
-            f"unknown observable {observable!r}; choose from {sorted(OBSERVABLES)}"
-        ) from None
+    axes = OBSERVABLES.get(observable) if isinstance(observable, str) else None
+    if axes is None:
+        raise DomainError(f"unknown observable {observable!r}; choose from {sorted(OBSERVABLES)}")
     first, second = moments(state)
     u = _AXIS_VECTORS[axes[0]]
     value = complex(u @ first if len(axes) == 1 else u @ second @ _AXIS_VECTORS[axes[1]])
@@ -223,12 +220,6 @@ def _theta_logs(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The logarithms of the moduli cos(theta/2), sin(theta/2), theta in
     [0, pi], as ``_coherent_rows`` takes them; one set serves every block."""
     return _log_moduli(np.cos(thetas / 2.0).tolist(), np.sin(thetas / 2.0).tolist())
-
-
-def _radial_rows(twoj: int, thetas: np.ndarray) -> np.ndarray:
-    """The real spin-j coherent-state amplitudes at phi = 0, one unit row per
-    theta in [0, pi]."""
-    return _coherent_rows(twoj, _theta_logs(thetas))
 
 
 def husimi_grid(
@@ -249,22 +240,22 @@ def husimi_grid(
     t_k = 2 s_k.  The t_k of all blocks add up before one phase product over
     the grid.
     """
-    thetas = np.atleast_1d(np.asarray(theta_points, dtype=float))
-    phis = np.atleast_1d(np.asarray(phi_points, dtype=float))
+    thetas, phis = _reals(theta_points, "husimi theta"), _reals(phi_points, "husimi phi")
     if thetas.size == 0 or phis.size == 0:
         raise DomainError("husimi grid axes must be nonempty")
     if not (((0.0 <= thetas) & (thetas <= np.pi)).all() and np.isfinite(phis).all()):
         raise DomainError("husimi grid axes must be finite, with theta in [0, pi]")
+    logs = _theta_logs(thetas)
     if state._ket is not None:
         psi = state._ket[1]
         # the global phase e^{-i c phi} drops out of |A|^2; offsets a - c from
         # psi's largest entry keep the rounding of the phase argument small
         offsets = np.arange(psi.size) - np.argmax(np.abs(psi))
         phase = np.exp(-1j * np.outer(offsets, phis))
-        amps = (_radial_rows(psi.size - 1, thetas) * psi) @ phase
+        amps = (_coherent_rows(psi.size - 1, logs) * psi) @ phase
         grid = np.square(amps.real) + np.square(amps.imag)
     else:
-        grid = _block_husimi(state, thetas, phis)
+        grid = _block_husimi(state, logs, phis)
         # written so that a NaN fails this check and the next
         if not grid.min() >= -1e-10:
             raise NumericError(f"husimi value {grid.min()} below zero; state not PSD")
@@ -273,14 +264,13 @@ def husimi_grid(
     return np.clip(grid, 0.0, 1.0)
 
 
-def _block_husimi(state: CollectiveState, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+def _block_husimi(state: CollectiveState, logs: tuple, phis: np.ndarray) -> np.ndarray:
     blocks = [rho for _, rho in state.items()]
     width = max(map(len, blocks), default=1)
-    logs = _theta_logs(thetas)
     # t[:, k] as (real, imag) pairs: the k-th diagonal of rho + rho^dagger
     # (the diagonal's real part at k = 0), weighted by r_a r_{a+k}.  Taking the
     # Hermitian part keeps Q = Re v^dagger rho v for any input block.
-    t = np.zeros((thetas.size, width, 2))
+    t = np.zeros((logs[0].size, width, 2))
     for rho in blocks:
         d = rho.shape[0]
         radial = _coherent_rows(d - 1, logs)
@@ -298,16 +288,20 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def prob_table_csv(table: ProbTable) -> str:
-    lines = ["j,m,p"]
-    lines += [f"{_fmt(j)},{_fmt(m)},{_fmt(p)}" for j, m, p in table.entries]
+def _rows_csv(header: str, rows) -> str:
+    """CSV text: the header, then one line per row, a float by ``_fmt`` and
+    anything else by ``str``."""
+    lines = [header]
+    lines += [",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row]) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def prob_table_csv(table: ProbTable) -> str:
+    return _rows_csv("j,m,p", table.entries)
 
 
 def shot_counts_csv(counts: ShotCounts) -> str:
-    lines = ["j,m,count"]
-    lines += [f"{_fmt(j)},{_fmt(m)},{c}" for (j, m), c in counts.counts.items()]
-    return "\n".join(lines) + "\n"
+    return _rows_csv("j,m,count", ((j, m, c) for (j, m), c in counts.counts.items()))
 
 
 def husimi_csv(thetas: np.ndarray, phis: np.ndarray, grid: np.ndarray) -> str:

@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dicke import CollectiveState, _real
+from .dicke import CollectiveState, _real, spin_bands
 from .errors import DomainError, NumericError
 
 __all__ = ["rho_prime", "depolarize"]
@@ -62,7 +62,7 @@ def _transition_terms(
     product with the diagonal of rho.  Every array is 1-D and read-only.
     """
     j = twoj / 2.0
-    m = j - np.arange(twoj + 1)
+    m = spin_bands(twoj)["z"].diags[0]
     half_n = n / 2.0
     terms = []
     trace_weights = np.zeros(twoj + 1)

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dicke import CollectiveState, _integer, _real, build_ledger, ground_state
+from .dicke import CollectiveState, _integer, _real, _reals, build_ledger, ground_state
 from .errors import DegenerateFrameError, DomainError, NumericError, UnsupportedConfigError
 from .gates import Circuit, GateSpec, apply_circuit, apply_gate
 from .squeezing import get_xi_2_S
@@ -109,7 +109,7 @@ class Ansatz:
         return 3
 
     def build(self, theta: Sequence[float]) -> Circuit:
-        t1, t2, t3 = (float(t) for t in theta)
+        t1, t2, t3 = _reals(theta, "ansatz angle").tolist()
         lam = tnt_coupling_value(self.n_particles, t2, t2, self.tnt_coupling)
         return Circuit(
             n_particles=self.n_particles,
@@ -359,8 +359,8 @@ def fit(
     run from scratch, so the histories are those of ``cost``,
     ``grad_findiff`` and ``fubini_study_metric`` bit for bit.
 
-    A non-finite ``initial``, or a ``seed`` that is not an integer >= 0,
-    raises DomainError before any circuit runs.
+    An ``initial`` that is not ``n_params`` finite numbers, or a ``seed``
+    that is not an integer >= 0, raises DomainError before any circuit runs.
 
     A degenerate mean-spin frame mid-run (DegenerateFrameError) stops the
     loop and returns the partial history with converged=False; any other
@@ -372,7 +372,7 @@ def fit(
         rng = np.random.default_rng(seed)
         theta = rng.uniform(-0.1, 0.1, ansatz.n_params)
     else:
-        theta = np.asarray(initial, dtype=float)
+        theta = _reals(initial, "initial parameter")
         if theta.shape != (ansatz.n_params,):
             raise DomainError(
                 f"need {ansatz.n_params} parameters, got shape {theta.shape}"

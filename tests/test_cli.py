@@ -204,6 +204,8 @@ class TestRun:
         '"OAT", "params": [0.1], "axes": 5',
         '"RX", "params": [0.1], "noise": true',
         '"RX", "params": [0.1], "noise": "0.1"',
+        '5, "params": [0.1]',
+        '"RX", "params": 0.3',
     ])
     def test_mistyped_gate_field_exit_3(self, tmp_path, capsys, gate):
         path = tmp_path / "bad.json"
@@ -214,11 +216,21 @@ class TestRun:
         assert captured.err.startswith("error: gate #1: ")
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_n_below_one_exit_3(self, tmp_path, capsys, n):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": %d, "gates": [{"kind": "RX", "params": [0.3]}]}' % n)
+        out = tmp_path / "p.csv"
+        assert main(["run", str(path), "--shots", "5", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f'error: "n": particle count must be >= 1, got {n}\n'
+        assert captured.out == "" and not out.exists()
+
     def test_boolean_n_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"n": true, "gates": []}')
         assert main(["run", str(path)]) == 3
-        assert '"n" must be a positive integer' in capsys.readouterr().err
+        assert '"n": particle count must be an integer, got True' in capsys.readouterr().err
 
     def test_negative_seed_exit_2(self, circuit_file, tmp_path, capsys):
         out = tmp_path / "p.csv"
@@ -507,7 +519,7 @@ class TestParticleCount:
     def test_exit_2(self, argv, n, capsys):
         assert main([*argv, f"--n={n}"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: need at least one particle, got {n}\n"
+        assert captured.err == f"error: particle count must be >= 1, got {n}\n"
         assert captured.out == ""
 
 

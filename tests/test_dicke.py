@@ -57,6 +57,15 @@ def test_degeneracy_rejects_bad_j():
         degeneracy(4, 3)
 
 
+@pytest.mark.parametrize("j", [np.nan, np.inf, -np.inf, "1.0", True], ids=repr)
+def test_j_must_be_a_finite_number(j):
+    # ValueError, OverflowError or TypeError before, and True was j = 1
+    with pytest.raises(DomainError, match="half-integer|must be a number"):
+        degeneracy(4, j)
+    with pytest.raises(DomainError, match="half-integer|must be a number"):
+        ground_state(4).block(j)
+
+
 def test_ledger_does_not_compute_degeneracies(monkeypatch):
     # the multiplicities are exact big-integer factorials; building the
     # ledger must not pay for them.  __wrapped__ skips the ledger cache.
@@ -66,7 +75,7 @@ def test_ledger_does_not_compute_degeneracies(monkeypatch):
         raise AssertionError("degeneracy computed")
 
     monkeypatch.setattr(dickesim.dicke, "degeneracy", refuse)
-    led = build_ledger.__wrapped__(4001)
+    led = dickesim.dicke._ledger.__wrapped__(4001)
     assert led.js[0] == 2000.5 and led.j_min == 0.5
     assert led.dim == collective_dimension(4001)
 
@@ -146,7 +155,7 @@ def test_ground_excited_ghz():
 ])
 def test_pure_states_reject_fewer_than_one_particle(make, n):
     # the ledger's check runs before any amplitude array is allocated
-    with pytest.raises(DomainError, match=f"need at least one particle, got {n}"):
+    with pytest.raises(DomainError, match=f"particle count must be >= 1, got {n}"):
         make(n)
 
 
@@ -155,7 +164,8 @@ def test_pure_states_reject_fewer_than_one_particle(make, n):
     (lambda: css_state(2.5, 1.0, 0.0), "2.5"),
     (lambda: degeneracy(3.9, 0.5), "3.9"),
     (lambda: build_ledger(True), "True"),
-], ids=["ground_state", "css_state", "degeneracy", "build_ledger"])
+    (lambda: ground_state([3]), r"\[3\]"),
+], ids=["ground_state", "css_state", "degeneracy", "build_ledger", "ground_state_list"])
 def test_non_integer_particle_counts_rejected(call, shown):
     # int() would truncate these to N = 3, 2, 3 and 1
     with pytest.raises(DomainError, match=f"particle count must be an integer, got {shown}$"):

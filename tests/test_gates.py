@@ -382,6 +382,23 @@ def test_circuit_needs_a_particle_count(n):
         Circuit(n, ())
 
 
+@pytest.mark.parametrize("kind, params, message", [
+    (5, (0.1,), "gate kind must be a string, got 5"),
+    ("RX", 0.1, "RX params must be a tuple or a list, got 0.1"),
+    ("RX", None, "RX params must be a tuple or a list, got None"),
+])
+def test_gatespec_field_types(kind, params, message):
+    # AttributeError or TypeError before
+    with pytest.raises(DomainError, match=message):
+        GateSpec(kind, params)
+
+
+def test_circuit_instructions_are_gatespecs():
+    # accepted before, and apply_circuit then raised AttributeError
+    with pytest.raises(DomainError, match="circuit instruction #2 must be a GateSpec, got 0.3"):
+        Circuit(4, [GateSpec("RX", (0.1,)), 0.3])
+
+
 def test_phase_argument_below_overflow_is_formed():
     # N/Lambda = 4e300: angle^2 |w|^2 overflows, yet every angle * w_k is
     # finite, so the phases are formed, as the bare expression gives them

@@ -203,6 +203,11 @@ class TestExpval:
         with pytest.raises(DomainError):
             expval(ground_state(2), "Jq")
 
+    def test_observable_must_be_a_name(self):
+        # a list was a TypeError (an unhashable key)
+        with pytest.raises(DomainError, match="unknown observable \\[0.3\\]; choose from \\['J_minus'"):
+            expval(ground_state(2), [0.3])
+
     def test_imaginary_residue_raises(self):
         # a non-Hermitian block: <Jz> = 0.5 + 0.1i on the j = 1 block
         state = CollectiveState(build_ledger(2), {1.0: np.diag([0.5 + 0.1j, 0.5, 0.0])})
@@ -374,10 +379,11 @@ def test_radial_rows_match_per_theta_css_amplitudes(twoj):
     # all thetas at once and the coherent ket of each theta alone come from
     # one kernel, so they agree bit for bit.
     from dickesim.dicke import css_amplitudes
-    from dickesim.measurement import _radial_rows
+    from dickesim.dicke import _coherent_rows
+    from dickesim.measurement import _theta_logs
 
     thetas = np.concatenate([[0.0, np.pi], np.linspace(0.0, np.pi, 37), [1e-9, np.pi - 1e-9]])
-    rows = _radial_rows(twoj, thetas)
+    rows = _coherent_rows(twoj, _theta_logs(thetas))
     want = np.array([css_amplitudes(twoj, theta, 0.0) for theta in thetas])
     assert rows.shape == (thetas.size, twoj + 1)
     assert not want.imag.any()

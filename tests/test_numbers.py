@@ -14,11 +14,14 @@ from dickesim import (
     GateSpec,
     OptimizerConfig,
     circuit_from_json,
+    cost,
+    css_state,
     depolarize,
     fit,
     fubini_study_metric,
     grad_findiff,
     ground_state,
+    husimi_grid,
 )
 from dickesim.bench import layer_seconds
 
@@ -31,6 +34,13 @@ ENTRY_POINTS = {
     "grad_findiff eps_fd": lambda v: grad_findiff(lambda t: 0.0, np.zeros(3), v),
     "fubini_study_metric eps_fd": lambda v: fubini_study_metric(np.zeros(3), Ansatz(4), v),
     "depolarize": lambda v: depolarize(ground_state(2), v),
+    "fit initial": lambda v: fit(Ansatz(4), OptimizerConfig("gd", 0.1, max_iter=1), [v, 0.0, 0.0]),
+    "cost theta": lambda v: cost([0.0, v, 0.0], Ansatz(4)),
+    "Ansatz.build theta": lambda v: Ansatz(4).build([0.0, 0.0, v]),
+    "css_state theta": lambda v: css_state(4, v, 0.0),
+    "css_state phi": lambda v: css_state(4, 0.3, v),
+    "husimi_grid theta": lambda v: husimi_grid(ground_state(2), [0.1, v], [0.0]),
+    "husimi_grid phi": lambda v: husimi_grid(ground_state(2), [0.1], [0.0, v]),
 }
 
 

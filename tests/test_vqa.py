@@ -74,7 +74,7 @@ class TestCost:
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_ansatz_rejects_fewer_than_one_particle(self, n):
-        with pytest.raises(DomainError, match=f"need at least one particle, got {n}"):
+        with pytest.raises(DomainError, match=f"particle count must be >= 1, got {n}"):
             Ansatz(n)
 
     def test_reading_changes_cost(self):
