@@ -30,7 +30,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, inf, log
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -112,14 +112,11 @@ def degeneracy(n_particles: int, j: float) -> int:
     the factorial ratio overflows 64-bit floats at modest N, so no
     floating-point intermediate is ever formed.
     """
-    n = _integer(n_particles, "particle count", 1)
-    twoj = _twoj(j)
-    if twoj > n or (n - twoj) % 2 != 0:
-        raise DomainError(f"j = {j} is not a valid block label for N = {n}")
-    a = (n - twoj) // 2          # N/2 - j
-    b = (n + twoj) // 2 + 1      # N/2 + j + 1
+    ledger = build_ledger(n_particles)
+    n, a = ledger.n_particles, ledger.block_index(j)  # a = N/2 - j
+    twoj = n - 2 * a
     num = factorial(n) * (twoj + 1)
-    den = factorial(a) * factorial(b)
+    den = factorial(a) * factorial(n - a + 1)  # (N/2 + j + 1)!
     if num % den:
         raise DomainError(f"degeneracy({n}, {j}) is not an integer")
     return num // den
@@ -139,61 +136,56 @@ class Block:
 class BlockLedger:
     """Ordered block structure of the collective space for N particles.
 
-    Blocks are ordered by descending j from N/2 down to 0 or 1/2.
+    Blocks are ordered by descending j from N/2 down to 0 or 1/2: block k
+    has j = N/2 - k and side N + 1 - 2k.  Everything here follows from N
+    alone; the ``Block`` list is built only when ``blocks`` is first read.
     """
 
     n_particles: int
-    blocks: tuple[Block, ...]
 
     @property
     def j_max(self) -> float:
-        return self.blocks[0].j
+        return self.n_particles / 2.0
 
     @property
     def j_min(self) -> float:
-        return self.blocks[-1].j
+        return self.n_particles % 2 / 2.0
 
     @property
     def dim(self) -> int:
         """Total collective dimension, sum of block sides."""
-        last = self.blocks[-1]
-        return last.offset + last.dim
+        return (self.n_particles + 2) ** 2 // 4
 
-    @property
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        n = self.n_particles  # the blocks before block k take k (N + 2 - k) rows
+        return tuple(
+            Block((n - 2 * k) / 2.0, n + 1 - 2 * k, k * (n + 2 - k)) for k in range(n // 2 + 1)
+        )
+
+    @cached_property
     def js(self) -> tuple[float, ...]:
         return tuple(b.j for b in self.blocks)
 
     def block_index(self, j: float) -> int:
         """Position of block j in the descending-j ordering."""
-        idx = (self.n_particles - _twoj(j)) // 2
-        if not 0 <= idx < len(self.blocks) or self.blocks[idx].j != j:
-            raise DomainError(f"no block j = {j} for N = {self.n_particles}")
-        return idx
-
-    def has_block(self, j: float) -> bool:
-        idx = int(round(self.j_max - j))
-        return 0 <= idx < len(self.blocks) and self.blocks[idx].j == j
+        n, twoj = self.n_particles, _twoj(j)
+        if twoj > n or (n - twoj) % 2:
+            raise DomainError(f"no block j = {j} for N = {n}")
+        return (n - twoj) // 2
 
     def m_values(self, j: float) -> np.ndarray:
         """m labels of block j in storage (descending) order."""
-        return spin_bands(self.blocks[self.block_index(j)].dim - 1)["z"].diags[0]
+        return spin_bands(self.n_particles - 2 * self.block_index(j))["z"].diags[0]
 
 
 def build_ledger(n_particles: int) -> BlockLedger:
-    """Build the block ledger for N particles (an integer N >= 1)."""
-    return _ledger(_integer(n_particles, "particle count", 1))
-
-
-@lru_cache(maxsize=64)
-def _ledger(n: int) -> BlockLedger:
-    blocks = []
-    offset = 0
-    for twoj in range(n, n % 2 - 1, -2):
-        j = twoj / 2.0
-        dim = twoj + 1
-        blocks.append(Block(j=j, dim=dim, offset=offset))
-        offset += dim
-    return BlockLedger(n_particles=n, blocks=tuple(blocks))
+    """The block ledger for N particles, an integer 1 <= N <= 2^53: the one
+    place the particle-count rule is applied."""
+    n = _integer(n_particles, "particle count", 1)
+    if n > 2**53:  # past it, the labels j = N/2 and m are no longer exact floats
+        raise DomainError(f"particle count must be <= 2**53, got a {n.bit_length()}-bit integer")
+    return BlockLedger(n)
 
 
 def collective_dimension(n_particles: int) -> int:
@@ -238,7 +230,7 @@ class CollectiveState:
         copies = {}
         for j, mat in blocks.items():
             mat = np.array(mat, dtype=complex, order="C")  # a copy, frozen below
-            want = ledger.blocks[ledger.block_index(j)].dim
+            want = ledger.n_particles + 1 - 2 * ledger.block_index(j)
             if mat.shape != (want, want):
                 raise DomainError(
                     f"block j = {j} must be {want}x{want}, got {mat.shape}"
@@ -246,7 +238,7 @@ class CollectiveState:
             if not np.isfinite(mat).all():
                 raise DomainError(f"block j = {j} holds a non-finite entry")
             copies[j] = mat
-        self._set_blocks(ledger, copies, conditional)
+        self._set(ledger, copies, None, conditional)
 
     @classmethod
     def _mixed(
@@ -256,16 +248,8 @@ class CollectiveState:
         ledger's shapes, frozen in place and not copied, so the caller hands
         over arrays it no longer writes, as with ``_pure``."""
         state = cls.__new__(cls)
-        state._set_blocks(ledger, blocks, conditional)
+        state._set(ledger, blocks, None, conditional)
         return state
-
-    def _set_blocks(self, ledger: BlockLedger, blocks: dict, conditional: bool) -> None:
-        by_index = {ledger.block_index(j): _freeze(mat) for j, mat in blocks.items()}
-        self.ledger = ledger
-        self._blocks = {idx: by_index[idx] for idx in sorted(by_index)}
-        self._ket = None
-        self.conditional = bool(conditional)
-        self._moments = None
 
     @classmethod
     def _pure(
@@ -275,17 +259,27 @@ class CollectiveState:
         psi is frozen in place, so the caller hands over an array it no
         longer writes."""
         state = cls.__new__(cls)
-        state.ledger = ledger
-        state._blocks = None
-        state._ket = (j, _freeze(psi))
-        state.conditional = bool(conditional)
-        state._moments = None
+        state._set(ledger, None, (j, _freeze(psi)), conditional)
         return state
 
-    def _dense(self) -> dict[int, np.ndarray]:
+    def _set(
+        self, ledger: BlockLedger, blocks: dict | None, ket: tuple | None, conditional: bool
+    ) -> None:
+        """The one initializer: ``blocks`` (frozen in place and keyed by the
+        ledger's own float j, in descending-j order) or ``ket``."""
+        if blocks is not None:
+            by_j = {ledger.j_max - ledger.block_index(j): mat for j, mat in blocks.items()}
+            blocks = {j: _freeze(by_j[j]) for j in sorted(by_j, reverse=True)}
+        self.ledger = ledger
+        self._blocks = blocks
+        self._ket = ket
+        self.conditional = bool(conditional)
+        self._moments = None
+
+    def _dense(self) -> dict[float, np.ndarray]:
         if self._blocks is None:
             j, psi = self._ket
-            self._blocks = {self.ledger.block_index(j): _freeze(_ket_density(psi))}
+            self._blocks = {j: _freeze(_ket_density(psi))}
         return self._blocks
 
     @property
@@ -296,15 +290,15 @@ class CollectiveState:
     def active_js(self) -> tuple[float, ...]:
         if self._ket is not None:
             return (self._ket[0],)
-        return tuple(self.ledger.blocks[i].j for i in self._blocks)
+        return tuple(self._blocks)
 
     def block(self, j: float) -> np.ndarray | None:
-        return self._dense().get(self.ledger.block_index(j))
+        self.ledger.block_index(j)  # j must be a block label
+        return self._dense().get(j)
 
     def items(self) -> Iterable[tuple[float, np.ndarray]]:
         """(j, rho_j) pairs in descending-j order."""
-        for idx, mat in self._dense().items():
-            yield self.ledger.blocks[idx].j, mat
+        return self._dense().items()
 
     def trace(self) -> float:
         if self._ket is not None:

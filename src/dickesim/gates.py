@@ -121,10 +121,10 @@ from .dicke import (
     Banded,
     BlockLedger,
     CollectiveState,
-    _integer,
     _real,
     _spinor_power,
     _twoj,
+    build_ledger,
     spin_bands,
 )
 from .errors import CircuitParseError, DomainError, NumericError
@@ -237,7 +237,11 @@ class Circuit:
     instructions: tuple[GateSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "n_particles", _integer(self.n_particles, "particle count", 1))
+        object.__setattr__(self, "n_particles", build_ledger(self.n_particles).n_particles)
+        if not isinstance(self.instructions, (tuple, list)):
+            raise DomainError(
+                f"circuit instructions must be a tuple or a list, got {self.instructions!r}"
+            )
         object.__setattr__(self, "instructions", tuple(self.instructions))
         for pos, spec in enumerate(self.instructions, start=1):
             if not isinstance(spec, GateSpec):

@@ -108,8 +108,18 @@ class Ansatz:
     def n_params(self) -> int:
         return 3
 
+    def _angles(self, theta: Sequence[float], name: str) -> np.ndarray:
+        """theta as ``n_params`` finite numbers, each read by ``_reals``;
+        another count or a NaN or infinite entry raises DomainError."""
+        theta = _reals(theta, name)
+        if theta.shape != (self.n_params,):
+            raise DomainError(f"need {self.n_params} {name}s, got {theta.size}")
+        if not np.isfinite(theta).all():
+            raise DomainError(f"{name}s must be finite, got {theta.tolist()}")
+        return theta
+
     def build(self, theta: Sequence[float]) -> Circuit:
-        t1, t2, t3 = _reals(theta, "ansatz angle").tolist()
+        t1, t2, t3 = self._angles(theta, "ansatz angle").tolist()
         lam = tnt_coupling_value(self.n_particles, t2, t2, self.tnt_coupling)
         return Circuit(
             n_particles=self.n_particles,
@@ -296,8 +306,11 @@ def qng_step(
     of the twisting ansatz spans ~8 decades, and a near-flat direction kept in
     the inverse catapults theta out of the basin; a cutoff relative to the
     spectrum stays scale-free across N, where a fixed absolute one that works
-    at N = 100 would zero the whole step at small N.
+    at N = 100 would zero the whole step at small N.  A NaN or infinite
+    entry of g or grad raises NumericError.
     """
+    if not (np.isfinite(g).all() and np.isfinite(grad).all()):
+        raise NumericError("QNG metric or gradient is not finite")
     evals, evecs = np.linalg.eigh(0.5 * (g + g.T))
     inv = np.zeros_like(evals)
     keep = evals > 1e-3 * evals[-1]
@@ -372,15 +385,7 @@ def fit(
         rng = np.random.default_rng(seed)
         theta = rng.uniform(-0.1, 0.1, ansatz.n_params)
     else:
-        theta = _reals(initial, "initial parameter")
-        if theta.shape != (ansatz.n_params,):
-            raise DomainError(
-                f"need {ansatz.n_params} parameters, got shape {theta.shape}"
-            )
-        if not np.isfinite(theta).all():
-            raise DomainError(
-                f"initial parameters must be finite, got {theta.tolist()}"
-            )
+        theta = ansatz._angles(initial, "initial parameter")
 
     runner = _AnsatzRunner(ansatz)
     qng = config.kind == "qng"

@@ -226,6 +226,18 @@ class TestRun:
         assert captured.err == f'error: "n": particle count must be >= 1, got {n}\n'
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("n", [2**53 + 1, 10**400], ids=["2**53 + 1", "401 digits"])
+    def test_n_above_2_53_exit_3(self, tmp_path, capsys, n):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": %d, "gates": [{"kind": "RX", "params": [0.3]}]}' % n)
+        out = tmp_path / "p.csv"
+        assert main(["run", str(path), "--shots", "5", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f'error: "n": particle count must be <= 2**53, got a {n.bit_length()}-bit integer\n'
+        )
+        assert captured.out == "" and not out.exists()
+
     def test_boolean_n_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"n": true, "gates": []}')
@@ -507,19 +519,32 @@ class TestParticleCount:
     """A particle count below one is a usage error, raised before any state
     is allocated or any row is printed."""
 
-    @pytest.mark.parametrize("n", ["0", "-3"])
-    @pytest.mark.parametrize("argv", [
+    COMMANDS = [
         ["squeeze", "--gate", "oat", "--steps", "2"],
         ["squeeze", "--gate", "tat", "--steps", "2"],
         ["squeeze", "--gate", "tnt", "--steps", "2"],
         ["squeeze", "--gate", "gms", "--steps", "2"],
         ["qpt", "--steps", "3"],
         ["vqa", "--max-iter", "1"],
-    ])
+    ]
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    @pytest.mark.parametrize("argv", COMMANDS)
     def test_exit_2(self, argv, n, capsys):
         assert main([*argv, f"--n={n}"]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: particle count must be >= 1, got {n}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("n", [2**53 + 1, 10**400], ids=["2**53 + 1", "401 digits"])
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_above_2_53_exit_2(self, argv, n, capsys):
+        # past 2^53 the labels j and m are no longer exact floats
+        assert main([*argv, f"--n={n}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: particle count must be <= 2**53, got a {n.bit_length()}-bit integer\n"
+        )
         assert captured.out == ""
 
 

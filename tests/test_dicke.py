@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dickesim import (
+    Ansatz,
+    Circuit,
     CollectiveState,
     DomainError,
     build_ledger,
@@ -68,16 +70,42 @@ def test_j_must_be_a_finite_number(j):
 
 def test_ledger_does_not_compute_degeneracies(monkeypatch):
     # the multiplicities are exact big-integer factorials; building the
-    # ledger must not pay for them.  __wrapped__ skips the ledger cache.
+    # ledger must not pay for them.
     import dickesim.dicke
 
     def refuse(n_particles, j):
         raise AssertionError("degeneracy computed")
 
     monkeypatch.setattr(dickesim.dicke, "degeneracy", refuse)
-    led = dickesim.dicke._ledger.__wrapped__(4001)
+    led = build_ledger(4001)
     assert led.js[0] == 2000.5 and led.j_min == 0.5
     assert led.dim == collective_dimension(4001)
+
+
+def test_ledger_builds_no_block_list_until_read():
+    led = build_ledger(10**6)
+    assert (led.j_max, led.j_min, led.dim) == (5e5, 0.0, (10**6 + 2) ** 2 // 4)
+    assert led.block_index(0.0) == 5 * 10**5 and list(led.m_values(0.0)) == [0.0]
+    assert "blocks" not in vars(led) and "js" not in vars(led)
+
+
+HUGE_COUNTS = {"401 digits": 10**400, "2**53 + 1": 2**53 + 1}
+
+
+@pytest.mark.parametrize("n", HUGE_COUNTS.values(), ids=HUGE_COUNTS)
+@pytest.mark.parametrize("make", [
+    build_ledger, ground_state, lambda n: css_state(n, 0.3, 0.2), Ansatz,
+    lambda n: Circuit(n, ()), lambda n: degeneracy(n, 0.5),
+], ids=["build_ledger", "ground_state", "css_state", "Ansatz", "Circuit", "degeneracy"])
+def test_particle_count_above_2_53_rejected(make, n):
+    # past 2^53 the labels j = N/2 and m are no longer exact floats
+    with pytest.raises(DomainError, match=r"particle count must be <= 2\*\*53, got a \d+-bit integer$"):
+        make(n)
+
+
+def test_particle_count_2_53_accepted():
+    # only the ledger: a state of that size would allocate 2^53 + 1 amplitudes
+    assert build_ledger(2**53).dim == (2**53 + 2) ** 2 // 4
 
 
 @pytest.mark.parametrize("n", range(1, 65))
@@ -178,8 +206,8 @@ def test_numpy_integer_particle_count_accepted():
     assert type(build_ledger(four).n_particles) is int
     assert ground_state(four).active_js == (2.0,)
     assert degeneracy(four, 1) == 3
-    # an equal count of another type is a separate cache entry, checked anew
-    build_ledger(np.int64(1))
+    # an equal count of another type gives an equal ledger
+    assert build_ledger(np.int64(1)) == build_ledger(1)
     for bad in (4.0, True):
         with pytest.raises(DomainError, match="must be an integer"):
             build_ledger(bad)
@@ -307,7 +335,12 @@ def test_css_always_valid(n, theta, phi):
 @given(n=st.integers(min_value=1, max_value=64))
 def test_ledger_roundtrip(n):
     led = build_ledger(n)
-    for j in led.js:
-        assert led.has_block(j)
+    offset = 0
+    for j, b in zip(led.js, led.blocks):
+        assert led.blocks[led.block_index(j)] == b
         assert led.block_index(j) == list(led.js).index(j)
-    assert not led.has_block(led.j_max + 1)
+        assert (b.dim, b.offset) == (int(2 * j) + 1, offset) and led.m_values(j).size == b.dim
+        offset += b.dim
+    assert offset == led.dim and (led.js[0], led.js[-1]) == (led.j_max, led.j_min)
+    with pytest.raises(DomainError, match="no block"):
+        led.block_index(led.j_max + 1)

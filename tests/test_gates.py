@@ -393,6 +393,12 @@ def test_gatespec_field_types(kind, params, message):
         GateSpec(kind, params)
 
 
+@pytest.mark.parametrize("instructions", [None, GateSpec("RX", (0.1,))], ids=["None", "GateSpec"])
+def test_circuit_instructions_are_a_tuple_or_a_list(instructions):
+    with pytest.raises(DomainError, match="circuit instructions must be a tuple or a list"):
+        Circuit(4, instructions)
+
+
 def test_circuit_instructions_are_gatespecs():
     # accepted before, and apply_circuit then raised AttributeError
     with pytest.raises(DomainError, match="circuit instruction #2 must be a GateSpec, got 0.3"):

@@ -149,6 +149,13 @@ def test_readouts_of_a_ket_build_no_block():
     assert state._blocks is None
 
 
+def test_large_n_ket_path_builds_no_block_list():
+    # the ledger's Block list is N/2 + 1 objects; no ket path reads it
+    state = apply_gate(ground_state(10**5), GateSpec("OAT", (0.01,), axes="z"))
+    probabilities(state)
+    assert "blocks" not in vars(state.ledger) and "js" not in vars(state.ledger)
+
+
 def test_rank_one_block_stays_rho():
     psi = css_state(4, 0.4, 1.0)._ket[1]
     state = CollectiveState(build_ledger(4), {2.0: np.outer(psi, psi.conj())})

@@ -9,21 +9,33 @@ import pytest
 
 from dickesim import (
     Ansatz,
+    Circuit,
     CircuitParseError,
     DomainError,
     GateSpec,
     OptimizerConfig,
+    build_ledger,
     circuit_from_json,
+    collective_dimension,
     cost,
     css_state,
+    degeneracy,
     depolarize,
+    excited_state,
     fit,
     fubini_study_metric,
+    ghz_state,
     grad_findiff,
     ground_state,
     husimi_grid,
 )
 from dickesim.bench import layer_seconds
+from dickesim.errors import (
+    DegenerateFrameError,
+    NumericError,
+    ResourceError,
+    UnsupportedConfigError,
+)
 
 ENTRY_POINTS = {
     "GateSpec param": lambda v: GateSpec("RX", (v,)),
@@ -77,6 +89,40 @@ def test_fit_seed_is_an_integer(seed, message):
 def test_layer_seconds_counts_are_integers(layers, repeats):
     with pytest.raises(DomainError, match="must be an integer"):
         layer_seconds(4, None, layers, repeats)
+
+
+# The number positions above, plus every particle count and block label;
+# work counts (shots, max_iter, layers, steps) are left out, since a huge
+# one is valid input that asks for unbounded work.
+POSITIONS = {
+    **ENTRY_POINTS,
+    "build_ledger": build_ledger,
+    "collective_dimension": collective_dimension,
+    "ground_state": ground_state,
+    "excited_state": excited_state,
+    "ghz_state": ghz_state,
+    "css_state n": lambda v: css_state(v, 0.3, 0.2),
+    "Ansatz": Ansatz,
+    "Circuit": lambda v: Circuit(v, ()),
+    "degeneracy n": lambda v: degeneracy(v, 0.5),
+    "degeneracy j": lambda v: degeneracy(4, v),
+    "state.block": lambda v: ground_state(4).block(v),
+}
+
+ODD_VALUES = {"True": True, "'1.0'": "1.0", "None": None, "[0.3]": [0.3], "nan": np.nan,
+              "inf": np.inf, "-inf": -np.inf, "-1": -1, "0": 0, "10**400": 10**400,
+              "float32": np.float32(0.5), "1j": 1j}
+ERRORS = (DomainError, CircuitParseError, NumericError, ResourceError,
+          DegenerateFrameError, UnsupportedConfigError)  # all of errors.py
+
+
+@pytest.mark.parametrize("value", ODD_VALUES.values(), ids=ODD_VALUES)
+@pytest.mark.parametrize("entry", sorted(POSITIONS))
+def test_odd_values_return_or_raise_a_package_error(entry, value):
+    try:
+        POSITIONS[entry](value)
+    except ERRORS:
+        pass
 
 
 VALUES = [0.3, 1, -2, 1e308, 10**400, True, False, "0.3", None, [0.3]]

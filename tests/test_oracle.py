@@ -41,7 +41,7 @@ def test_projectors_complete_and_consistent(n):
     led = build_ledger(n)
     total = np.zeros((2**n, 2**n), dtype=complex)
     for (j, m), p in projs.items():
-        assert led.has_block(j)
+        assert j in led.js
         assert abs(m) <= j + 1e-12
         # projector onto the (j, m) eigenspace has rank = multiplicity of j
         assert np.trace(p).real == pytest.approx(degeneracy(n, j), abs=1e-8)

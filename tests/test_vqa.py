@@ -166,6 +166,13 @@ class TestSteps:
         stepped = qng_step(np.zeros(2), np.array([8.0, 8.0]), g, 1.0)
         np.testing.assert_allclose(stepped, [-2.0, 0.0], atol=1e-12)
 
+    @pytest.mark.parametrize("bad", ["metric", "gradient"])
+    def test_qng_rejects_a_non_finite_metric_or_gradient(self, bad):
+        g, grad = np.eye(3), np.ones(3)
+        (g[0] if bad == "metric" else grad)[1] = np.nan
+        with pytest.raises(NumericError, match="metric or gradient is not finite"):
+            qng_step(np.zeros(3), grad, g, 0.1)
+
     def test_qng_cutoff_is_relative_to_largest_eigenvalue(self):
         # eigenvalues <= 1e-3 x the largest are dropped, larger ones kept
         grad = np.array([1.0, 1.0])
@@ -325,6 +332,17 @@ class TestFit:
         cfg = OptimizerConfig(kind="gd", learning_rate=1e-3, max_iter=1)
         with pytest.raises(DomainError):
             fit(Ansatz(6), cfg, [0.1, 0.2])
+
+    @pytest.mark.parametrize("angles", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], []], ids=len)
+    def test_cost_and_build_take_three_angles(self, angles):
+        count = f"need 3 ansatz angles, got {len(angles)}"
+        with pytest.raises(DomainError, match=count):
+            cost(angles, Ansatz(4))
+        with pytest.raises(DomainError, match=count):
+            Ansatz(4).build(angles)
+        cfg = OptimizerConfig(kind="gd", learning_rate=1e-3, max_iter=1)
+        with pytest.raises(DomainError, match=f"need 3 initial parameters, got {len(angles)}"):
+            fit(Ansatz(4), cfg, angles)
 
     def test_non_finite_initial_rejected_before_any_cost(self, monkeypatch):
         from dickesim import vqa
