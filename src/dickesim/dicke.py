@@ -62,10 +62,23 @@ __all__ = [
 ]
 
 
+def _shown(value) -> str:
+    """How a message shows a value from outside: by its repr or, where that
+    holds an integer past 4300 digits, which Python refuses to print, by the
+    integer's bit count or the container's type."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"a {'negative ' * (value < 0)}{value.bit_length()}-bit integer"
+        return f"a {type(value).__name__} holding an integer past 4300 digits"
+
+
 def _twoj(j: float) -> int:
     """Validate that j, a number (``_real``), is a finite nonnegative
     half-integer and return 2j as an exact int."""
-    twoj = 2.0 * _real(j, "j")
+    j = _real(j, "j")
+    twoj = 2.0 * j
     if not (0.0 <= twoj < inf and twoj.is_integer()):  # a NaN fails the first test
         raise DomainError(f"j = {j} is not a nonnegative half-integer")
     return int(twoj)
@@ -75,9 +88,9 @@ def _integer(value, name: str, least: int) -> int:
     """value as an int; a bool, a non-integer or a value below ``least``
     raises DomainError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
+        raise DomainError(f"{name} must be an integer, got {_shown(value)}")
     if value < least:
-        raise DomainError(f"{name} must be >= {least}, got {value}")
+        raise DomainError(f"{name} must be >= {least}, got {_shown(int(value))}")
     return int(value)
 
 
@@ -87,7 +100,7 @@ def _real(value, name: str) -> float:
     integer too large for a float reads as the infinity it rounds toward, so
     the caller's finiteness rule rejects it; the caller checks the range."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise DomainError(f"{name} must be a number, got {value!r}")
+        raise DomainError(f"{name} must be a number, got {_shown(value)}")
     try:
         return float(value)
     except OverflowError:

@@ -122,6 +122,7 @@ from .dicke import (
     BlockLedger,
     CollectiveState,
     _real,
+    _shown,
     _spinor_power,
     _twoj,
     build_ledger,
@@ -185,13 +186,13 @@ class GateSpec:
 
     def __post_init__(self):
         if not isinstance(self.kind, str):
-            raise DomainError(f"gate kind must be a string, got {self.kind!r}")
+            raise DomainError(f"gate kind must be a string, got {_shown(self.kind)}")
         kind = self.kind.upper()
         if kind not in GATE_KINDS:
             raise DomainError(f"unknown gate kind {self.kind!r}")
         n_params, axes_arity = GATE_KINDS[kind]
         if not isinstance(self.params, (tuple, list)):
-            raise DomainError(f"{kind} params must be a tuple or a list, got {self.params!r}")
+            raise DomainError(f"{kind} params must be a tuple or a list, got {_shown(self.params)}")
         params = tuple(_real(p, f"{kind} parameter {i + 1}") for i, p in enumerate(self.params))
         if len(params) != n_params:
             raise DomainError(f"{kind} takes {n_params} parameter(s), got {len(params)}")
@@ -240,12 +241,14 @@ class Circuit:
         object.__setattr__(self, "n_particles", build_ledger(self.n_particles).n_particles)
         if not isinstance(self.instructions, (tuple, list)):
             raise DomainError(
-                f"circuit instructions must be a tuple or a list, got {self.instructions!r}"
+                f"circuit instructions must be a tuple or a list, got {_shown(self.instructions)}"
             )
         object.__setattr__(self, "instructions", tuple(self.instructions))
         for pos, spec in enumerate(self.instructions, start=1):
             if not isinstance(spec, GateSpec):
-                raise DomainError(f"circuit instruction #{pos} must be a GateSpec, got {spec!r}")
+                raise DomainError(
+                    f"circuit instruction #{pos} must be a GateSpec, got {_shown(spec)}"
+                )
 
 
 def _sq(op):
@@ -746,6 +749,10 @@ def circuit_from_json(text: str) -> Circuit:
         raise CircuitParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError:  # not a JSONDecodeError: Python reads no integer past 4300 digits
+        raise CircuitParseError("invalid JSON: an integer literal past 4300 digits") from None
+    except RecursionError:
+        raise CircuitParseError("invalid JSON: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise CircuitParseError("top level must be an object")
     try:
@@ -761,7 +768,7 @@ def circuit_from_json(text: str) -> Circuit:
             raise CircuitParseError(f'gate #{pos} must be an object with a "kind"')
         axes = entry.get("axes")
         if axes is not None and not isinstance(axes, str):
-            raise CircuitParseError(f'gate #{pos}: "axes" must be a string, got {axes!r}')
+            raise CircuitParseError(f'gate #{pos}: "axes" must be a string, got {_shown(axes)}')
         try:  # kind, params and noise are GateSpec's to check
             specs.append(GateSpec(entry["kind"], entry.get("params", []), axes, entry.get("noise")))
         except DomainError as exc:

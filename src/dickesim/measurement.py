@@ -25,7 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import CollectiveState, _coherent_rows, _integer, _log_moduli, _reals, spin_bands
+from .dicke import (
+    CollectiveState,
+    _coherent_rows,
+    _integer,
+    _log_moduli,
+    _reals,
+    _shown,
+    spin_bands,
+)
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -203,7 +211,9 @@ def expval(state: CollectiveState, observable: str) -> complex | float:
     Hermitian observables, whose imaginary residue above 1e-8 raises."""
     axes = OBSERVABLES.get(observable) if isinstance(observable, str) else None
     if axes is None:
-        raise DomainError(f"unknown observable {observable!r}; choose from {sorted(OBSERVABLES)}")
+        raise DomainError(
+            f"unknown observable {_shown(observable)}; choose from {sorted(OBSERVABLES)}"
+        )
     first, second = moments(state)
     u = _AXIS_VECTORS[axes[0]]
     value = complex(u @ first if len(axes) == 1 else u @ second @ _AXIS_VECTORS[axes[1]])

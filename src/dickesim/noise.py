@@ -131,7 +131,7 @@ def depolarize(state: CollectiveState, epsilon: float) -> CollectiveState:
     the module docstring); may activate neighboring blocks."""
     eps = _real(epsilon, "depolarizing probability")
     if not 0.0 <= eps <= 1.0:
-        raise DomainError(f"depolarizing probability must lie in [0, 1], got {epsilon}")
+        raise DomainError(f"depolarizing probability must lie in [0, 1], got {eps}")
     if eps == 0.0:
         return state
     n = state.ledger.n_particles

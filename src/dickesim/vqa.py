@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dicke import CollectiveState, _integer, _real, _reals, build_ledger, ground_state
+from .dicke import CollectiveState, _integer, _real, _reals, _shown, build_ledger, ground_state
 from .errors import DegenerateFrameError, DomainError, NumericError, UnsupportedConfigError
 from .gates import Circuit, GateSpec, apply_circuit, apply_gate
 from .squeezing import get_xi_2_S
@@ -65,7 +65,7 @@ DEFAULT_TNT_COUPLING = "appendix-omega"
 def _check_reading(reading: str) -> None:
     if reading not in TNT_COUPLING_READINGS:
         raise DomainError(
-            f"tnt coupling reading must be one of {TNT_COUPLING_READINGS}, got {reading!r}"
+            f"tnt coupling reading must be one of {TNT_COUPLING_READINGS}, got {_shown(reading)}"
         )
 
 
@@ -151,7 +151,8 @@ def _probe_points(theta: np.ndarray, eps_fd: float) -> list[np.ndarray]:
 
 
 def _check_step(eps_fd: float) -> None:
-    if not 0 < _real(eps_fd, "eps_fd") < np.inf:
+    eps_fd = _real(eps_fd, "eps_fd")
+    if not 0 < eps_fd < np.inf:
         raise DomainError(f"eps_fd must be finite and > 0, got {eps_fd}")
 
 
@@ -335,14 +336,14 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.kind not in ("gd", "adam", "qng"):
-            raise DomainError(f"unknown optimizer kind {self.kind!r}")
-        if not 0 < _real(self.learning_rate, "learning_rate") < np.inf:
-            raise DomainError(
-                f"learning_rate must be finite and > 0, got {self.learning_rate}"
-            )
+            raise DomainError(f"unknown optimizer kind {_shown(self.kind)}")
+        rate = _real(self.learning_rate, "learning_rate")
+        if not 0 < rate < np.inf:
+            raise DomainError(f"learning_rate must be finite and > 0, got {rate}")
         _integer(self.max_iter, "max_iter", 1)
-        if not _real(self.tolerance, "tolerance") >= 0:
-            raise DomainError(f"tolerance must be >= 0, got {self.tolerance}")
+        tolerance = _real(self.tolerance, "tolerance")
+        if not tolerance >= 0:
+            raise DomainError(f"tolerance must be >= 0, got {tolerance}")
         _check_step(self.eps_fd)
 
 

@@ -7,6 +7,7 @@ file and its ``main`` run in process, as the workflow runs it by argv.
 
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -94,3 +95,74 @@ def test_broken_file_exits_nonzero(checker, monkeypatch, tmp_path, case):
     with pytest.raises(SystemExit) as exc:
         check(checker, monkeypatch, tmp_path, *BROKEN[case])
     assert exc.value.code not in (0, None)
+
+
+# The smoke mode, run against a stand-in ``dickesim`` on PATH: a script
+# whose body sees the command's argv as ``argv``.
+def fake_dickesim(tmp_path, monkeypatch, body):
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    script = bin_dir / "dickesim"
+    script.write_text(f"#!{sys.executable}\nimport os, sys\nargv = sys.argv[1:]\n{body}\n")
+    script.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+
+
+def smoke(checker, monkeypatch, rows):
+    monkeypatch.setattr(checker, "SMOKE", rows)
+    monkeypatch.setattr(sys, "argv", ["check_smoke.py", "smoke"])
+    checker.main()
+
+
+WARNINGS_ARE_ERRORS = 'os.environ.get("PYTHONWARNINGS") == "error::RuntimeWarning"'
+ERROR_LINE = 'print("error: no", file=sys.stderr)'
+WRITE = 'open(argv[argv.index("--out") + 1] + {!r}, "w").write("j,m,p\\n")'
+REFUSE = {  # a failing circuit's stand-in, and whether the checker accepts it
+    "one error line": (f"{ERROR_LINE}; sys.exit(3 if {WARNINGS_ARE_ERRORS} else 1)", True),
+    "wrong exit code": (f"{ERROR_LINE}; sys.exit(2)", False),
+    "two stderr lines": (f"{ERROR_LINE}; {ERROR_LINE}; sys.exit(3)", False),
+    "no error prefix": ('print("no", file=sys.stderr); sys.exit(3)', False),
+    "output file written": (f"{WRITE.format('')}; {ERROR_LINE}; sys.exit(3)", False),
+    "counts file written": (f"{WRITE.format('.counts.csv')}; {ERROR_LINE}; sys.exit(3)", False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSE))
+def test_smoke_failing_circuit_rules(checker, monkeypatch, tmp_path, capsys, case):
+    body, accepted = REFUSE[case]
+    fake_dickesim(tmp_path, monkeypatch, body)
+    rows = [checker.failing("refused", 3, "{}"), checker.failing("second", 3, "{}")]
+    if accepted:
+        smoke(checker, monkeypatch, rows)
+        assert capsys.readouterr().out.count("exit 3 with one error line and no file") == 2
+        return
+    with pytest.raises(SystemExit) as exc:
+        smoke(checker, monkeypatch, rows)
+    assert str(exc.value.code).startswith("refused: ")  # the first failing row ends the run
+    assert "second" not in capsys.readouterr().out
+
+
+SQUEEZE_OUT = f'print({table(SQUEEZE, [(0.0, 0.0, 0.0)] * 3)!r}, end="")'
+
+
+@pytest.mark.parametrize("body, rows, accepted", [
+    (SQUEEZE_OUT, None, True),
+    (SQUEEZE_OUT, 4, False),
+    (SQUEEZE_OUT + "; sys.exit(1)", None, False),
+], ids=["clean", "wrong row count", "nonzero exit"])
+def test_smoke_run_rules(checker, monkeypatch, tmp_path, capsys, body, rows, accepted):
+    fake_dickesim(tmp_path, monkeypatch, body)
+    run = [checker.Smoke("squeezed", "squeeze --n 4", rows=rows)]
+    if accepted:
+        smoke(checker, monkeypatch, run)
+        assert capsys.readouterr().out.startswith("squeezed: 3 finite rows")
+        return
+    with pytest.raises(SystemExit) as exc:
+        smoke(checker, monkeypatch, run)
+    assert "squeezed" in str(exc.value.code)
+
+
+def test_smoke_table_holds_every_run_and_failing_circuit(checker):
+    names = [row.name for row in checker.SMOKE]
+    assert len(set(names)) == len(names)
+    assert sorted(row.code for row in checker.SMOKE) == [0] * 11 + [3] * 8 + [4] * 6

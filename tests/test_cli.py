@@ -8,9 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dickesim
 from dickesim.cli import main
+from dickesim.gates import GATE_KINDS
 
 GHZ_JSON = json.dumps({"n": 4, "gates": [{"kind": "GMS", "params": [np.pi / 2, 0.0]}]})
 ROT_JSON = json.dumps({
@@ -237,6 +240,25 @@ class TestRun:
             f'error: "n": particle count must be <= 2**53, got a {n.bit_length()}-bit integer\n'
         )
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 1%s, "gates": [{"kind": "RX", "params": [0.3]}]}' % ("0" * 5000),
+        '{"n": 4, "gates": [{"kind": "RX", "params": [1%s]}]}' % ("0" * 5000),
+        '{"n": 4, "gates": [{"kind": "RX", "params": %s}]}' % ("[" * 10**5 + "]" * 10**5),
+    ], ids=["5001-digit n", "5001-digit param", "nested 10**5 deep"])
+    def test_json_past_python_limits_exit_3(self, tmp_path, capsys, text):
+        # json.loads refuses an integer literal past 4300 digits with a plain
+        # ValueError and a deep nest with RecursionError; json.dumps would
+        # refuse to write the first, so the text is built by hand
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        out = tmp_path / "p.csv"
+        assert main(["run", str(path), "--shots", "5", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: invalid JSON: "), captured.err
+        assert captured.out == "" and not out.exists()
+        assert not (tmp_path / "p.csv.counts.csv").exists()
 
     def test_boolean_n_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -782,3 +804,88 @@ def test_workload_commands_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "run.csv.counts.csv").is_file()
+
+
+# Circuit JSON text from outside, each literal written as text, since
+# json.dumps refuses an integer past 4300 digits.  Three in four counts and
+# gates are well formed, so that whole circuits reach the engine too; the
+# rest draw every field from odd values.
+def _digits(count):
+    return "1" + "0" * (count - 1)
+
+
+def _list(items):
+    return f"[{', '.join(items)}]"
+
+
+def _mostly(good, odd):
+    return st.one_of(good, good, good, odd)
+
+
+_SCALARS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e300", "-1e300", "NaN", "Infinity", "-Infinity", "true", "false"]),
+    st.text(max_size=4).map(json.dumps),
+    st.builds(lambda sign, count: sign + _digits(count),
+              st.sampled_from(["", "-"]), st.integers(1, 5001)),
+)
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3).map(_list))
+_ANGLES = _mostly(st.floats(-3.0, 3.0), st.floats(allow_nan=False, allow_infinity=False))
+_AXES = {1: ["x", "y", "z"], 2: ["zx", "zy", "xy", "yx", "z,plus", "x,minus", "zz"]}
+_N = _mostly(
+    st.integers(1, 8).map(str),
+    st.sampled_from(["0", "-1", "true", '"4"', str(2**53 + 1), _digits(401), _digits(5001)]),
+)
+
+
+@st.composite
+def _good_gate(draw):
+    kind = draw(st.sampled_from(sorted(GATE_KINDS)))
+    n_params, axes_arity = GATE_KINDS[kind]
+    params = draw(st.lists(_ANGLES, min_size=n_params, max_size=n_params))
+    gate = {"kind": kind, "params": params}
+    if axes_arity:
+        gate["axes"] = draw(st.sampled_from(_AXES[axes_arity]))
+    if draw(st.booleans()):
+        gate["noise"] = draw(st.floats(0.0, 1.0))
+    return json.dumps(gate)
+
+
+@st.composite
+def _odd_gate(draw):
+    kind = draw(st.one_of(st.sampled_from(sorted(GATE_KINDS)).map(json.dumps), st.sampled_from(
+        ['"HADAMARD"', '"rx"', '""', "5", "true", "null", '["RX"]'])))
+    fields = [f'"kind": {kind}', f'"params": {draw(_VALUES)}']
+    axes = st.sampled_from(["z", "zx", "z,plus", "plusminus", "q", "", "xyz"]).map(json.dumps)
+    for name, value in (("axes", st.one_of(axes, _SCALARS)), ("noise", _VALUES)):
+        if draw(st.booleans()):
+            fields.append(f'"{name}": {draw(value)}')
+    return "{" + ", ".join(fields) + "}"
+
+
+_CIRCUITS = st.builds(lambda n, gates: f'{{"n": {n}, "gates": {_list(gates)}}}',
+                      _N, st.lists(_mostly(_good_gate(), _odd_gate()), max_size=2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_CIRCUITS)
+def test_any_circuit_text_exits_with_a_documented_code(tmp_path, capsys, text):
+    # a circuit from outside ends in success or one error line and no file,
+    # never a traceback: exit 0, 2, 3 or 4
+    path, out = tmp_path / "circuit.json", tmp_path / "out.csv"
+    counts = tmp_path / "out.csv.counts.csv"
+    path.write_text(text)
+    for command in (["run"], ["run", "--shots", "5"],
+                    ["husimi", "--theta-steps", "3", "--phi-steps", "3"]):
+        for old in (out, counts):
+            old.unlink(missing_ok=True)
+        code = main([command[0], str(path), *command[1:], "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), err
+        if code:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), err
+            assert not out.exists() and not counts.exists()
+        else:
+            assert out.exists() and counts.exists() == ("--shots" in command)

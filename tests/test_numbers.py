@@ -22,12 +22,14 @@ from dickesim import (
     degeneracy,
     depolarize,
     excited_state,
+    expval,
     fit,
     fubini_study_metric,
     ghz_state,
     grad_findiff,
     ground_state,
     husimi_grid,
+    sample,
 )
 from dickesim.bench import layer_seconds
 from dickesim.errors import (
@@ -107,11 +109,20 @@ POSITIONS = {
     "degeneracy n": lambda v: degeneracy(v, 0.5),
     "degeneracy j": lambda v: degeneracy(4, v),
     "state.block": lambda v: ground_state(4).block(v),
+    "GateSpec kind": lambda v: GateSpec(v, (0.1,)),
+    "GateSpec params": lambda v: GateSpec("RX", v),
+    "Circuit instructions": lambda v: Circuit(4, [v]),
+    "expval observable": lambda v: expval(ground_state(2), v),
+    "OptimizerConfig kind": lambda v: OptimizerConfig(v, 0.1),
+    "Ansatz reading": lambda v: Ansatz(4, v),
+    "sample seed": lambda v: sample(ground_state(2), 1, v),
+    "fit seed": lambda v: fit(Ansatz(2), OptimizerConfig("gd", 0.1, max_iter=1), seed=v),
 }
 
 ODD_VALUES = {"True": True, "'1.0'": "1.0", "None": None, "[0.3]": [0.3], "nan": np.nan,
               "inf": np.inf, "-inf": -np.inf, "-1": -1, "0": 0, "10**400": 10**400,
-              "float32": np.float32(0.5), "1j": 1j}
+              "float32": np.float32(0.5), "1j": 1j, "10**5000": 10**5000,
+              "-10**5000": -(10**5000), "[10**5000]": [10**5000]}
 ERRORS = (DomainError, CircuitParseError, NumericError, ResourceError,
           DegenerateFrameError, UnsupportedConfigError)  # all of errors.py
 
@@ -123,6 +134,22 @@ def test_odd_values_return_or_raise_a_package_error(entry, value):
         POSITIONS[entry](value)
     except ERRORS:
         pass
+
+
+# A work count past 4300 digits below its least is refused before any work,
+# and its message does not try to print it.
+WORK_COUNTS = {
+    "sample shots": lambda v: sample(ground_state(2), v, 0),
+    "OptimizerConfig max_iter": lambda v: OptimizerConfig("gd", 0.1, max_iter=v),
+    "layer_seconds layers": lambda v: layer_seconds(4, None, v, 1),
+    "layer_seconds repeats": lambda v: layer_seconds(4, None, 1, v),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WORK_COUNTS))
+def test_negative_work_count_past_4300_digits_raises_domain_error(entry):
+    with pytest.raises(DomainError, match="must be >= 1, got a negative 16610-bit integer"):
+        WORK_COUNTS[entry](-(10**5000))
 
 
 VALUES = [0.3, 1, -2, 1e308, 10**400, True, False, "0.3", None, [0.3]]
